@@ -18,9 +18,8 @@ import os
 import sys
 from typing import Dict, Optional
 
+from . import __version__
 from .errors import SchemaError, ToolkitError
-
-VERSION = "0.1.0"
 
 COMMANDS = (
     "realize", "analyze", "stability", "structural", "place", "observer",
@@ -59,8 +58,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         metavar="NAME=VALUE",
                         help="tolerance override, repeatable")
     parser.add_argument("--seed", type=int, default=None,
-                        help="seed echoed into the report and used by any "
-                             "randomized check")
+                        help="seed echoed into the report; no command "
+                             "reads it")
     return parser
 
 
@@ -85,19 +84,6 @@ def _parse_tolerances(pairs, command: str,
                   f"got {raw!r}", file=sys.stderr)
             return None
     return overrides
-
-
-def load_model(path: str):
-    """Read a bare model document (the shared JSON schema) from a file."""
-    from . import _cliops
-
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        doc = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise SchemaError(f"not valid JSON: {exc}", location="/")
-    return _cliops.load_model_doc(doc)
 
 
 def _report_text(report: dict) -> str:
@@ -150,7 +136,7 @@ def main(argv=None) -> int:
         "error": None,
         "inputsDigest": "sha256:" + hashlib.sha256(raw).hexdigest(),
         "results": None,
-        "version": VERSION,
+        "version": __version__,
         "warnings": [],
     }
 

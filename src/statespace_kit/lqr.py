@@ -10,6 +10,7 @@ from . import numkit
 from .errors import (
     AxisEigenvalue,
     FiniteEscape,
+    IllConditioned,
     NotDetectable,
     NotStabilizable,
     RepeatedHamiltonianEigenvalues,
@@ -433,7 +434,7 @@ def _srl_core(a, numerators, r_values):
         p = numkit.poly_add(numkit.poly_scale(a_even, r), b_even)
         roots = numkit.poly_roots(p)
         if not _reflection_paired(roots):
-            raise RuntimeError("internal error: locus lost its axis symmetry")
+            raise IllConditioned("root locus lost its axis symmetry")
         stable = np.asarray(sorted((z for z in roots if z.real < 0),
                                    key=lambda w: (w.real, w.imag)), dtype=complex)
         out.append(SrlPoint(r=float(r), roots=roots, stable_roots=stable))

@@ -9,7 +9,7 @@ import numpy as np
 from . import numkit
 from .errors import InvalidHorizon, SingularPsi12
 from .model import StateSpace
-from .response import Trajectory
+from .response import Trajectory, lti_trajectory
 
 
 @dataclass(frozen=True)
@@ -69,9 +69,11 @@ def _hamiltonian_flow_matrix(prob: TpbvpProblem) -> np.ndarray:
 def solve_lq_tpbvp(prob: TpbvpProblem, samples: int = 401) -> TpbvpSolution:
     """Shooting-free endpoint solve through the coupled state-costate flow.
 
-    Constant coefficients make the flow map exact (one matrix exponential
-    per sample). The initial costate comes from an n x n linear system
-    mixing pinned-coordinate rows with terminal-gradient rows.
+    Constant coefficients make the flow map exact: one exponential over the
+    horizon fixes the initial costate, and one per distinct sample spacing
+    (numkit.expm_flow) carries [x; lambda] across the samples. The initial
+    costate comes from an n x n linear system mixing pinned-coordinate rows
+    with terminal-gradient rows.
     """
     n, m = prob.sys.n, prob.sys.m
     H = _hamiltonian_flow_matrix(prob)
@@ -99,19 +101,10 @@ def solve_lq_tpbvp(prob: TpbvpProblem, samples: int = 401) -> TpbvpSolution:
     lam0 = np.linalg.solve(rows, rhs)
     Rinv = np.linalg.solve(prob.R, np.eye(m))
     times = np.linspace(prob.t0, prob.t1, samples)
-    states = np.zeros((samples, n))
-    costates = np.zeros((samples, n))
-    controls = np.zeros((samples, m))
-    z0 = np.concatenate([prob.x0, lam0])
-    for i, t in enumerate(times):
-        z = numkit.expm(H, t - prob.t0) @ z0
-        states[i] = z[:n]
-        costates[i] = z[n:]
-        controls[i] = -(Rinv @ prob.sys.B.T @ z[n:])
-    outputs = np.array([prob.sys.C @ states[i] + prob.sys.D @ controls[i]
-                        for i in range(samples)]).reshape(samples, prob.sys.p)
-    traj = Trajectory(times=times, states=states, inputs=controls,
-                      outputs=outputs, truncated=False)
+    z = numkit.expm_flow(H, np.concatenate([prob.x0, lam0]), times)
+    states, costates = z[:, :n], z[:, n:]
+    controls = -(costates @ (Rinv @ prob.sys.B.T).T)
+    traj = lti_trajectory(prob.sys, times, states, controls)
     fixed = [j for j in range(n) if prob.endpoint_mask[j]]
     resid = 0.0
     if fixed:

@@ -93,7 +93,8 @@ def eigen(A, tol: float | None = None) -> EigenStructure:
     """Full eigenstructure of a square matrix.
 
     Conjugate pairing for real input is inherited from the backend solver.
-    Geometric multiplicities are rank tests on (A - lambda I).
+    Geometric multiplicities are rank tests on (A - lambda I) with a cutoff
+    of 1e-8 ||A||_1, so the verdict does not change when A is scaled.
     """
     M = require_square(A)
     n = M.shape[0]
@@ -106,9 +107,10 @@ def eigen(A, tol: float | None = None) -> EigenStructure:
         tol = n * _EPS * scale * 64
     distinct, alg = _cluster_eigenvalues(values, tol)
     # rank test on the shifted matrix must absorb the eigensolver's backward
-    # error, which scales with the basis conditioning, not machine epsilon
+    # error, which scales with the basis conditioning and the size of A
+    rank_tol = 1e-8 * float(np.linalg.norm(M, 1))
     geo = np.array(
-        [n - rank(M - lam * np.eye(n), tol=1e-8) for lam in distinct], dtype=int
+        [n - rank(M - lam * np.eye(n), tol=rank_tol) for lam in distinct], dtype=int
     )
     geo = np.minimum(np.maximum(geo, 1), alg)
     return EigenStructure(
@@ -204,11 +206,77 @@ def expm(A, t: float = 1.0) -> np.ndarray:
             np.linalg.norm(total, ord=np.inf)
         ):
             break
-    for _ in range(squarings):
-        total = total @ total
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(squarings):
+            total = total @ total
     if not np.all(np.isfinite(total)):
         raise Overflow("matrix exponential overflowed the representable range")
     return total
+
+
+def expm_flow(M, z0, times) -> np.ndarray:
+    """Samples of dz/dt = M z, z(times[0]) = z0, on an increasing grid.
+
+    One exact step per interval; steps equal to 12 significant digits share
+    one exponential. The march stops early, returning only the rows
+    reached, when a step's exponential or the state leaves the finite range.
+    """
+    M = require_square(M)
+    z = as_vector(z0)
+    rows = [z]
+    steps: dict[float, np.ndarray] = {}
+    for dt in np.diff(np.asarray(times, dtype=float)):
+        key = float(f"{dt:.11e}")
+        if key not in steps:
+            try:
+                steps[key] = expm(M, dt)
+            except Overflow:
+                break
+        z = steps[key] @ z
+        if not np.all(np.isfinite(z)):
+            break
+        rows.append(z)
+    return np.array(rows)
+
+
+def expm_gramian(A, Q, t: float) -> np.ndarray:
+    """W(t) = integral over [0, t] of e^{A s} Q e^{A' s} ds, for t >= 0.
+
+    Van Loan (IEEE TAC 23(3), 1978): e^{[[-A, Q], [0, A']] h} holds e^{A' h}
+    and e^{-A h} W(h). That block grows like e^{||A|| h} and loses W to
+    cancellation, so h = t / 2^k with ||A||_1 h <= 1, and the doubling
+    W(2h) = W(h) + e^{A h} W(h) e^{A' h} carries W from h to t.
+    """
+    A = require_square(A)
+    Q = as_matrix(Q)
+    n = A.shape[0]
+    reach = float(np.linalg.norm(A, 1)) * float(t)
+    doublings = int(np.ceil(np.log2(reach))) if reach > 1.0 else 0
+    h = float(t) / 2.0**doublings
+    F = expm(np.block([[-A, Q], [np.zeros((n, n)), A.T]]), h)
+    E = F[n:, n:].T
+    W = E @ F[:n, n:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(doublings):
+            W = W + E @ W @ E.T
+            E = E @ E
+    if not np.all(np.isfinite(W)):
+        raise Overflow("grammian overflowed the representable range")
+    return W
+
+
+# ---------------------------------------------------------------------------
+# low-discrepancy points
+
+
+def radical_inverse(index: int, base: int) -> float:
+    """Van der Corput point: index in base b, digits mirrored about the radix point."""
+    f, r, i = 1.0, 0.0, index
+    while i > 0:
+        f /= base
+        r += f * (i % base)
+        i //= base
+    return r
 
 
 # ---------------------------------------------------------------------------

@@ -231,10 +231,12 @@ def _input_function(u, m):
 def simulate(model, x0, times, u=None, max_step: float = None) -> Trajectory:
     """March the state across the sample grid and record inputs and outputs.
 
-    Constant-coefficient models use the exact interval propagator with a
-    Simpson rule for the forced term; time-varying and nonlinear models
-    use fixed-step fourth-order integration. A non-finite state stops the
-    run early and marks the result truncated.
+    A constant-coefficient model with no or a constant input is exact:
+    [x; u] follows the flow of [[A, B], [0, 0]] and max_step is not used.
+    With a callable input it uses the exact interval propagator and a
+    Simpson rule for the forced term. Time-varying and nonlinear models use
+    fixed-step fourth-order integration. A non-finite state or exponential
+    stops the run early and marks the result truncated.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 2 or np.any(np.diff(times) <= 0):
@@ -254,10 +256,25 @@ def simulate(model, x0, times, u=None, max_step: float = None) -> Trajectory:
     raise TypeError(f"cannot simulate {type(model).__name__}")
 
 
+def lti_trajectory(sys: StateSpace, times, states, inputs) -> Trajectory:
+    """Trajectory with outputs C x + D u; fewer state rows than times marks
+    a run that stopped early, and the times are cut to match."""
+    kept = states.shape[0]
+    inputs = np.asarray(inputs, dtype=float).reshape(kept, sys.m)
+    return Trajectory(times=times[:kept], states=states, inputs=inputs,
+                      outputs=states @ sys.C.T + inputs @ sys.D.T,
+                      truncated=kept < len(times))
+
+
 def _simulate_lti(sys: StateSpace, x0, times, u, max_step):
-    n, m, p = sys.n, sys.m, sys.p
-    uf = _input_function(u, m)
+    n, m = sys.n, sys.m
     x = numkit.as_vector(x0).astype(float)
+    if not callable(u):
+        held = _input_function(u, m)(times[0])
+        flow = np.block([[sys.A, sys.B], [np.zeros((m, n + m))]])
+        z = numkit.expm_flow(flow, np.concatenate([x, held]), times)
+        return lti_trajectory(sys, times, z[:, :n], np.tile(held, (z.shape[0], 1)))
+    uf = _input_function(u, m)
     anorm = float(np.linalg.norm(sys.A, 1)) if n else 0.0
     states = [x.copy()]
     cache = {}
@@ -268,7 +285,6 @@ def _simulate_lti(sys: StateSpace, x0, times, u, max_step):
             cache[key] = (numkit.expm(sys.A, h), numkit.expm(sys.A, h / 2.0))
         return cache[key]
 
-    truncated = False
     for k in range(times.size - 1):
         dt = times[k + 1] - times[k]
         if max_step is not None:
@@ -279,28 +295,16 @@ def _simulate_lti(sys: StateSpace, x0, times, u, max_step):
         Eh, Eh2 = props(h)
         t = times[k]
         for _ in range(sub):
-            if m:
-                f0 = sys.B @ uf(t)
-                f1 = sys.B @ uf(t + h / 2.0)
-                f2 = sys.B @ uf(t + h)
-                forced = (h / 6.0) * (Eh @ f0 + 4.0 * (Eh2 @ f1) + f2)
-            else:
-                forced = 0.0
-            x = Eh @ x + forced
+            f0 = sys.B @ uf(t)
+            f1 = sys.B @ uf(t + h / 2.0)
+            f2 = sys.B @ uf(t + h)
+            x = Eh @ x + (h / 6.0) * (Eh @ f0 + 4.0 * (Eh2 @ f1) + f2)
             t += h
         if not np.all(np.isfinite(x)):
-            truncated = True
             break
         states.append(x.copy())
-    states = np.array(states)
-    kept = states.shape[0]
-    tkeep = times[:kept]
-    inputs = np.array([uf(t) for t in tkeep]).reshape(kept, m)
-    outputs = np.array(
-        [sys.C @ states[i] + (sys.D @ inputs[i] if m else 0.0) for i in range(kept)]
-    ).reshape(kept, p)
-    return Trajectory(times=tkeep, states=states, inputs=inputs, outputs=outputs,
-                      truncated=truncated)
+    inputs = [uf(t) for t in times[:len(states)]]
+    return lti_trajectory(sys, times, np.array(states), inputs)
 
 
 def _simulate_rk4(model: NonlinearModel, x0, times, u, max_step, breaks):

@@ -180,17 +180,6 @@ def stability_subspaces(A, tol: float = None) -> StabilitySubspaces:
 # quadratic certification on a sublevel set
 
 
-def _halton(index: int, base: int) -> float:
-    f = 1.0
-    r = 0.0
-    i = index
-    while i > 0:
-        f /= base
-        r += f * (i % base)
-        i //= base
-    return r
-
-
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -229,11 +218,11 @@ def quadratic_lyapunov_scan(
     failing = None
     certified = True
     for k in range(1, samples + 1):
-        u = _halton(k, _PRIMES[0])
+        u = numkit.radical_inverse(k, _PRIMES[0])
         radius = u ** (1.0 / n)
         g = np.array(
-            [erfinv(2.0 * _halton(k, _PRIMES[1 + d]) - 1.0) * np.sqrt(2.0)
-             for d in range(n)]
+            [erfinv(2.0 * numkit.radical_inverse(k, _PRIMES[1 + d]) - 1.0)
+             * np.sqrt(2.0) for d in range(n)]
         )
         norm = np.linalg.norm(g)
         if norm == 0.0:

@@ -15,7 +15,7 @@ from .errors import (
     SingularGrammian,
 )
 from .model import LtvModel, StateSpace
-from .response import Trajectory, fundamental_matrix_ltv, simulate
+from .response import fundamental_matrix_ltv, lti_trajectory, simulate
 from .stability import lti_stability, ASYMPTOTICALLY_STABLE
 
 
@@ -159,21 +159,13 @@ def _simpson_outer(make_factor, t0, tf, steps):
     return acc
 
 
-def _lti_quad_steps(A, span, quad_step):
-    if quad_step is not None:
-        return max(2, int(np.ceil(span / quad_step)))
-    anorm = float(np.linalg.norm(A, 1)) if A.size else 0.0
-    return int(min(20000, max(400, np.ceil(60.0 * (anorm + 1.0) * span))))
-
-
-def controllability_grammian(model, t0: float, tf: float,
-                             quad_step: float = None) -> GrammianReport:
+def controllability_grammian(model, t0: float, tf: float) -> GrammianReport:
     """Energy grammian of the input-to-state map on [t0, tf].
 
-    The constant-coefficient path integrates exp(-A tau) B products with a
-    Simpson rule built on half-step propagator increments; tf = inf uses
-    the stacked linear-equation solve instead of quadrature and requires
-    every mode strictly stable.
+    Constant coefficients are exact: the integral of e^{-A s} B B' e^{-A' s}
+    over [0, tf - t0] by numkit.expm_gramian. tf = inf uses the stacked
+    linear-equation solve and requires every mode strictly stable.
+    Time-varying models use Simpson quadrature on 400 panels.
     """
     if isinstance(model, StateSpace):
         A, B = model.A, model.B
@@ -187,38 +179,26 @@ def controllability_grammian(model, t0: float, tf: float,
         span = float(tf) - float(t0)
         if span <= 0:
             raise ValueError("need tf > t0")
-        steps = _lti_quad_steps(A, span, quad_step)
-        h = span / steps
-        Eh = numkit.expm(A, -h / 2.0)
-        # factors at the half-step grid, advanced incrementally
-        cache = [B.astype(float)]
-        for _ in range(2 * steps):
-            cache.append(Eh @ cache[-1])
-
-        def factor(t, _c=cache, _t0=t0, _h=h / 2.0):
-            j = int(round((t - _t0) / _h))
-            return _c[j]
-
-        W = _simpson_outer(factor, t0, tf, steps)
+        W = numkit.expm_gramian(-A, B @ B.T, span)
         return _grammian_report(W, "controllability", (float(t0), float(tf)))
     if isinstance(model, LtvModel):
-        span = float(tf) - float(t0)
-        if span <= 0:
+        if float(tf) <= float(t0):
             raise ValueError("need tf > t0")
         phi = fundamental_matrix_ltv(model, t0, tf)
-        steps = max(2, int(np.ceil(span / (quad_step or span / 400.0))))
 
         def factor(t):
             return phi(t0, t) @ numkit.as_matrix(model.B(t))
 
-        W = _simpson_outer(factor, t0, tf, steps)
+        W = _simpson_outer(factor, t0, tf, 400)
         return _grammian_report(W, "controllability", (float(t0), float(tf)))
     raise TypeError("expected a constant or time-varying linear model")
 
 
-def observability_grammian(model, t0: float, t1: float,
-                           quad_step: float = None) -> GrammianReport:
-    """Output-energy grammian on [t0, t1]; mirrors the controllability path."""
+def observability_grammian(model, t0: float, t1: float) -> GrammianReport:
+    """Output-energy grammian on [t0, t1]; mirrors the controllability path.
+
+    The constant-coefficient integrand is e^{A' s} C'C e^{A s}.
+    """
     if isinstance(model, StateSpace):
         A, C = model.A, model.C
         if np.isinf(t1):
@@ -231,30 +211,17 @@ def observability_grammian(model, t0: float, t1: float,
         span = float(t1) - float(t0)
         if span <= 0:
             raise ValueError("need t1 > t0")
-        steps = _lti_quad_steps(A, span, quad_step)
-        h = span / steps
-        Eh = numkit.expm(A.T, h / 2.0)
-        cache = [C.T.astype(float)]
-        for _ in range(2 * steps):
-            cache.append(Eh @ cache[-1])
-
-        def factor(t, _c=cache, _t0=t0, _h=h / 2.0):
-            j = int(round((t - _t0) / _h))
-            return _c[j]
-
-        H = _simpson_outer(factor, t0, t1, steps)
+        H = numkit.expm_gramian(A.T, C.T @ C, span)
         return _grammian_report(H, "observability", (float(t0), float(t1)))
     if isinstance(model, LtvModel):
-        span = float(t1) - float(t0)
-        if span <= 0:
+        if float(t1) <= float(t0):
             raise ValueError("need t1 > t0")
         phi = fundamental_matrix_ltv(model, t0, t1)
-        steps = max(2, int(np.ceil(span / (quad_step or span / 400.0))))
 
         def factor(t):
             return phi(t, t0).T @ numkit.as_matrix(model.C(t)).T
 
-        H = _simpson_outer(factor, t0, t1, steps)
+        H = _simpson_outer(factor, t0, t1, 400)
         return _grammian_report(H, "observability", (float(t0), float(t1)))
     raise TypeError("expected a constant or time-varying linear model")
 
@@ -440,8 +407,11 @@ def minimum_energy_steer(model, x0, xf, t0: float, tf: float,
                          samples: int = 201):
     """Open-loop control reaching xf at tf with least input energy.
 
-    Built from the grammian inverse applied to the reachability error; the
-    returned trajectory is a simulation under the constructed control.
+    The control is u(t) = -B(t)' phi(t0, t)' eta, eta = W^{-1} (x0 -
+    phi(t0, tf) xf). For constant coefficients the trajectory is exact: x and
+    the costate lambda = e^{A' (t0 - t)} eta follow the flow of
+    [[A, -B B'], [0, -A']] from [x0; eta], and u = -B' lambda. Time-varying
+    models simulate the constructed control.
     """
     x0 = numkit.as_vector(x0).astype(float)
     xf = numkit.as_vector(xf).astype(float)
@@ -451,30 +421,24 @@ def minimum_energy_steer(model, x0, xf, t0: float, tf: float,
         raise SingularGrammian(
             "grammian is numerically singular on this horizon"
         )
+    times = np.linspace(t0, tf, samples)
     if isinstance(model, StateSpace):
-        A, B = model.A, model.B
+        A, B, n = model.A, model.B, model.n
+        eta = np.linalg.solve(W, x0 - numkit.expm(A, t0 - tf) @ xf)
 
-        def phi_t0(t):
-            return numkit.expm(A, t0 - t)
+        def u(t, _eta=eta):
+            return -(B.T @ numkit.expm(A, t0 - t).T @ _eta)
 
-        phi_t0_tf = numkit.expm(A, t0 - tf)
-        B_of = lambda t: B  # noqa: E731
-    else:
-        fm = fundamental_matrix_ltv(model, t0, tf)
-
-        def phi_t0(t):
-            return fm(t0, t)
-
-        phi_t0_tf = fm(t0, tf)
-        B_of = lambda t: numkit.as_matrix(model.B(t))  # noqa: E731
-    eta = np.linalg.solve(W, x0 - phi_t0_tf @ xf)
+        flow = np.block([[A, -B @ B.T], [np.zeros((n, n)), -A.T]])
+        z = numkit.expm_flow(flow, np.concatenate([x0, eta]), times)
+        return u, lti_trajectory(model, times, z[:, :n], -(z[:, n:] @ B))
+    fm = fundamental_matrix_ltv(model, t0, tf)
+    eta = np.linalg.solve(W, x0 - fm(t0, tf) @ xf)
 
     def u(t, _eta=eta):
-        return -(B_of(t).T @ phi_t0(t).T @ _eta)
+        return -(numkit.as_matrix(model.B(t)).T @ fm(t0, t).T @ _eta)
 
-    times = np.linspace(t0, tf, samples)
-    traj = simulate(model, x0, times, u=u)
-    return u, traj
+    return u, simulate(model, x0, times, u=u)
 
 
 # ---------------------------------------------------------------------------

@@ -85,21 +85,12 @@ def _projection_candidates(m):
     """Fixed direction list: axes first, then a deterministic low-discrepancy fill."""
     cands = [np.eye(m)[:, i] for i in range(m)]
     for k in range(1, _PROJECTION_SEEDS + 1):
-        v = np.array([_radical_inverse(k, base) - 0.5
+        v = np.array([numkit.radical_inverse(k, base) - 0.5
                       for base in (2, 3, 5, 7, 11, 13)[:m]])
         norm = np.linalg.norm(v)
         if norm > 1e-12:
             cands.append(v / norm)
     return cands
-
-
-def _radical_inverse(index, base):
-    f, r, i = 1.0, 0.0, index
-    while i > 0:
-        f /= base
-        r += f * (i % base)
-        i //= base
-    return r
 
 
 def place_poles(sys: StateSpace, desired_poles, verify_tol: float = 1e-6) -> GainSet:

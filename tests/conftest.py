@@ -5,7 +5,9 @@ the suite sees the same inputs.
 """
 
 import numpy as np
+import pytest
 
+from statespace_kit import numkit
 from statespace_kit.model import StateSpace, state_space
 
 
@@ -81,3 +83,17 @@ def subspace_angle(U, V):
 def sorted_complex(values):
     v = np.asarray(values, dtype=complex)
     return v[np.lexsort((v.imag, v.real))]
+
+
+@pytest.fixture
+def expm_calls(monkeypatch):
+    """List that records every numkit.expm call, those inside numkit included."""
+    calls = []
+    real = numkit.expm
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(numkit, "expm", counted)
+    return calls

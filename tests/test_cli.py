@@ -295,6 +295,22 @@ def test_domain_error_lands_in_report(tmp_path):
     assert report["error"]["message"]
 
 
+def test_srl_lost_symmetry_lands_in_report(tmp_path, monkeypatch):
+    # in process, so the root finder can be replaced by one whose roots are
+    # not mirrored across the imaginary axis
+    from statespace_kit import cli, numkit
+
+    monkeypatch.setattr(numkit, "poly_roots",
+                        lambda a: np.array([-1.0, -2.0], dtype=complex))
+    inp = write_json(tmp_path / "in.json",
+                     {"plant": {"num": [1.0], "den": [1.0, 1.0]}})
+    out = tmp_path / "out"
+    assert cli.main(["srl", "--input", inp, "--out", str(out)]) == 1
+    report = read_report(out)
+    assert report["results"] is None
+    assert report["error"]["type"] == "IllConditioned"
+
+
 def test_unknown_builtin_name_pointer(tmp_path):
     inp = write_json(tmp_path / "in.json",
                      {"model": {"type": "nonlinear-builtin", "name": "nope"},

@@ -66,6 +66,16 @@ def test_tpbvp_golden_double_integrator():
     assert sol.endpoint_residual <= 1e-8
 
 
+def test_tpbvp_flow_is_one_exponential_per_spacing(expm_calls):
+    sol = solve_lq_tpbvp(steer_problem([0.0, 0.0], [1.0, 0.0]), samples=401)
+    assert len(expm_calls) <= 8
+    t = sol.trajectory.times
+    # free double integrator steered by u = 6 - 12 t from rest to (1, 0)
+    np.testing.assert_allclose(sol.control[:, 0], 6.0 - 12.0 * t, atol=1e-9)
+    np.testing.assert_allclose(sol.trajectory.states[:, 0],
+                               3.0 * t**2 - 2.0 * t**3, atol=1e-10)
+
+
 def test_tpbvp_reverse_run_flips_costate():
     sol = solve_lq_tpbvp(steer_problem([1.0, 0.0], [0.0, 0.0]))
     np.testing.assert_allclose(sol.initial_costate, [12.0, 6.0], atol=1e-8)

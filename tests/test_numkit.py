@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_stable_diagonalizable, rng
+from conftest import golden_phi_2m3, random_stable_diagonalizable, rng
 from statespace_kit import numkit
 from statespace_kit.errors import NonSquare, NotSymmetric, SingularBasis
 
@@ -132,6 +132,20 @@ def test_expm_closed_form_two_modes():
 def test_expm_rotation_half_turn():
     A = np.array([[0.0, np.pi], [-np.pi, 0.0]])
     np.testing.assert_allclose(numkit.expm(A, 1.0), -np.eye(2), atol=1e-12)
+
+
+def test_expm_flow_one_exponential_per_spacing(expm_calls):
+    M = np.array([[0.0, 1.0], [-2.0, -3.0]])
+    times = np.array([0.0, 0.1, 0.2, 0.3, 0.7, 1.1, 1.2])
+    z = numkit.expm_flow(M, [1.0, 0.0], times)
+    assert len(expm_calls) == 2
+    expected = [golden_phi_2m3(t)[:, 0] for t in times]
+    np.testing.assert_allclose(z, expected, atol=1e-13)
+
+
+def test_expm_flow_stops_at_overflow():
+    z = numkit.expm_flow(np.array([[1.0]]), [1.0], [0.0, 1.0, 2.0, 900.0, 901.0])
+    np.testing.assert_allclose(z[:, 0], np.exp([0.0, 1.0, 2.0]), rtol=1e-13)
 
 
 def test_expm_semigroup_and_inverse():

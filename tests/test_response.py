@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -274,6 +276,36 @@ def test_simulate_blow_up_truncates_without_raising():
     assert traj.truncated
     assert np.all(np.isfinite(traj.states))
     assert traj.times[-1] < 2.0
+
+
+def test_simulate_held_input_is_one_exponential(expm_calls):
+    sys = siso_system([[0.0, 1.0], [-2.0, -3.0]], [0.0, 1.0], [1.0, 0.0])
+    times = np.linspace(0.0, 20.0, 3001)
+    traj = simulate(sys, [1.0, -1.0], times, u=[0.5])
+    assert len(expm_calls) <= 8
+    # x(t) = x_ss + e^{At} (x0 - x_ss) with x_ss = -A^{-1} B u
+    x_ss = np.array([0.25, 0.0])
+    exact = np.array([x_ss + numkit.expm(sys.A, t) @ ([1.0, -1.0] - x_ss)
+                      for t in times[::500]])
+    np.testing.assert_allclose(traj.states[::500], exact, atol=1e-12)
+
+
+def test_simulate_long_horizon_returns_at_steady_state():
+    sys = siso_system([[0.0, 1.0], [-2.0, -3.0]], [0.0, 1.0], [1.0, 0.0])
+    start = time.perf_counter()
+    traj = simulate(sys, [1.0, -1.0], np.linspace(0.0, 1e9, 11), u=[0.5])
+    assert time.perf_counter() - start < 5.0
+    assert not traj.truncated
+    np.testing.assert_allclose(traj.states[-1], [0.25, 0.0], atol=1e-12)
+
+
+def test_simulate_overflowing_step_truncates_without_raising():
+    sys = siso_system([[1.0]], [1.0], [1.0])
+    for u in (None, [0.5]):
+        traj = simulate(sys, [1.0], np.linspace(0.0, 4000.0, 5), u=u)
+        assert traj.truncated
+        assert traj.times[-1] < 4000.0
+        assert np.all(np.isfinite(traj.states))
 
 
 def test_trajectory_fields_aligned():

@@ -48,6 +48,14 @@ def test_double_integrator_unstable_by_deficit():
     assert len(v.multiplicity_deficits) == 1
 
 
+def test_deficit_verdict_is_scale_free():
+    # the geometric-multiplicity rank test scales with A
+    assert lti_stability(np.array([[0.0, 1e-9], [0.0, 0.0]])).kind == "unstable"
+    Q, _ = np.linalg.qr(rng(5).normal(size=(3, 3)))
+    A = 1e12 * Q @ np.diag([0.0, 0.0, -1.0]) @ Q.T
+    assert lti_stability(A).kind == "stableISL"
+
+
 def test_unstable_witness_reported():
     v = lti_stability(np.array([[0.0, 1.0], [2.0, 1.0]]))
     assert v.kind == "unstable"

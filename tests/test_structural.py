@@ -14,6 +14,7 @@ from conftest import (
 from statespace_kit import numkit
 from statespace_kit.errors import (
     DegeneratePencil,
+    Overflow,
     RepeatedEigenvalues,
     SingularGrammian,
 )
@@ -219,6 +220,21 @@ def test_obsv_grammian_zero_output_map():
     assert rep.max_eig == 0.0
 
 
+def test_ctrb_grammian_stiff_long_horizon():
+    # W = X - e^{-A t} X e^{-A' t} with A X + X A' = B B'
+    gen = rng(211)
+    V = gen.normal(size=(4, 4))
+    A = V @ np.diag([0.5, 3.0, 40.0, 200.0]) @ np.linalg.inv(V)
+    B = gen.normal(size=(4, 2))
+    W = controllability_grammian(state_space(A, B), 0.0, 5.0).matrix
+    X = np.linalg.solve(np.kron(np.eye(4), A) + np.kron(A, np.eye(4)),
+                        (B @ B.T).reshape(-1)).reshape(4, 4)
+    E = numkit.expm(A, -5.0)
+    np.testing.assert_allclose(W, X - E @ X @ E.T, rtol=1e-9)
+    with pytest.raises(Overflow):
+        controllability_grammian(state_space(-A, B), 0.0, 5.0)
+
+
 def test_grammian_duality():
     gen = rng(97)
     A = random_stable_diagonalizable(gen, 3)
@@ -408,6 +424,17 @@ def test_steer_energy_matches_grammian_form():
     vals = np.array([float(u(t) @ u(t)) for t in ts])
     energy = np.trapezoid(vals, ts)
     np.testing.assert_allclose(energy, eta @ W @ eta, rtol=1e-5)
+
+
+def test_steer_trajectory_is_exact_flow(expm_calls):
+    sys = state_space(np.array([[-5.0, 1.0], [0.0, 4.0]]),
+                      np.array([[1.0], [1.0]]))
+    u, traj = minimum_energy_steer(sys, [1.0, 0.0], [0.0, 1.0], 0.0, 1.0,
+                                   samples=201)
+    assert len(expm_calls) <= 8
+    np.testing.assert_allclose(traj.states[-1], [0.0, 1.0], atol=1e-10)
+    for i in (0, 77, 200):
+        np.testing.assert_allclose(traj.inputs[i], u(traj.times[i]), atol=1e-10)
 
 
 def test_steer_singular_grammian_raises():
