@@ -431,7 +431,7 @@ def _h_stability(doc, tol, seed):
         "verdict": verdict.kind,
     }
     warnings = []
-    if verdict.kind == stability.ASYMPTOTICALLY_STABLE and sys.n <= 30:
+    if verdict.kind == stability.ASYMPTOTICALLY_STABLE:
         P = stability.solve_lyapunov(sys.A, np.eye(sys.n))
         results["lyapunovP"] = _mat_out(P)
     return results, {}, warnings
@@ -759,7 +759,6 @@ def _h_steer(doc, tol, seed):
         samples = _integer(doc["samples"], "/samples", minimum=2)
     u, traj = structural.minimum_energy_steer(model, x0, xf, t0, tf,
                                               samples=samples)
-    wrep = structural.controllability_grammian(model, t0, tf)
     m = traj.inputs.shape[1]
     control_rows = [[traj.times[i]] + list(traj.inputs[i])
                     for i in range(traj.times.size)]
@@ -772,7 +771,7 @@ def _h_steer(doc, tol, seed):
     results = {
         "controlCsv": "control.csv",
         "finalError": err,
-        "grammianConditioning": float(wrep.conditioning),
+        "grammianConditioning": float(u.grammian.conditioning),
         "terminalState": _vec_out(traj.states[-1]),
         "trajectoryCsv": "trajectory.csv",
     }

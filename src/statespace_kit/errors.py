@@ -29,6 +29,10 @@ class Overflow(ToolkitError):
     pass
 
 
+class WorkBudgetExceeded(ToolkitError):
+    """A computation would take more steps than its documented budget."""
+
+
 class SingularBasis(ToolkitError):
     pass
 

@@ -162,6 +162,7 @@ def solve_rde(prob: LqrProblem, steps: int = None) -> RiccatiSolution:
 class HamiltonianPencil:
     matrix: np.ndarray
     spectrum: np.ndarray
+    vectors: np.ndarray  # right eigenvector columns, parallel to spectrum
     stable_basis: np.ndarray  # 2n x n, stable eigenvector columns
 
 
@@ -178,14 +179,14 @@ def build_hamiltonian(prob: LqrProblem) -> HamiltonianPencil:
     stable_cols = [i for i in order if eig.values[i].real < 0]
     basis = eig.right_vectors[:, stable_cols[:n]] if len(stable_cols) >= n \
         else eig.right_vectors[:, stable_cols]
-    return HamiltonianPencil(matrix=H, spectrum=eig.values, stable_basis=basis)
+    return HamiltonianPencil(matrix=H, spectrum=eig.values,
+                             vectors=eig.right_vectors, stable_basis=basis)
 
 
-def _partition_by_stability(H, tol):
-    eig = numkit.eigen(H)
-    n2 = H.shape[0]
+def _partition_by_stability(pencil: HamiltonianPencil, tol):
+    n2 = pencil.matrix.shape[0]
     n = n2 // 2
-    lam = eig.values
+    lam = pencil.spectrum
     if np.any(np.abs(lam.real) <= tol):
         raise AxisEigenvalue("spectrum touches the imaginary axis")
     for i in range(n2):
@@ -200,7 +201,7 @@ def _partition_by_stability(H, tol):
         raise StableSpaceDefect(
             f"expected {n} strictly stable directions, found {len(stable)}"
         )
-    V = eig.right_vectors
+    V = pencil.vectors
     U_s = V[:, stable]
     U_u = V[:, unstable]
     lam_s = lam[stable]
@@ -221,9 +222,8 @@ def solve_rde_by_hamiltonian(prob: LqrProblem, samples: int = 201) -> RiccatiSol
     n = prob.sys.n
     M = prob.M if prob.M is not None else np.zeros((n, n))
     pencil = build_hamiltonian(prob)
-    H = pencil.matrix
     tol = 1e-9 * (1.0 + float(np.max(np.abs(pencil.spectrum))))
-    lam_s, lam_u, U_s, U_u = _partition_by_stability(H, tol)
+    lam_s, lam_u, U_s, U_u = _partition_by_stability(pencil, tol)
     U11, U21 = U_s[:n, :], U_s[n:, :]
     U12, U22 = U_u[:n, :], U_u[n:, :]
     Mc = M.astype(complex)
@@ -250,7 +250,8 @@ def solve_are(prob: LqrProblem) -> RiccatiSolution:
 
     Requires a stabilizable input and a detectable cost; the candidate is
     validated against the quadratic equation and the closed-loop spectrum
-    before anything is returned.
+    before anything is returned. The coupled-flow matrix is decomposed
+    once, by build_hamiltonian, and its eigenvectors give the stable basis.
     """
     if not prob.infinite:
         raise ValueError("infinite horizon required")
@@ -271,7 +272,6 @@ def solve_are(prob: LqrProblem) -> RiccatiSolution:
     elif not report.detectable:
         raise NotDetectable("an unstable mode is invisible to the cost")
     pencil = build_hamiltonian(prob)
-    H = pencil.matrix
     tol = 1e-9 * (1.0 + float(np.max(np.abs(pencil.spectrum))))
     lam = pencil.spectrum
     if np.any(np.abs(lam.real) <= tol):
@@ -281,8 +281,7 @@ def solve_are(prob: LqrProblem) -> RiccatiSolution:
         raise StableSpaceDefect(
             f"expected {n} strictly stable directions, found {len(stable)}"
         )
-    eig = numkit.eigen(H)
-    U = eig.right_vectors[:, stable]
+    U = pencil.vectors[:, stable]
     U11, U21 = U[:n, :], U[n:, :]
     if np.linalg.cond(U11) > 1e12:
         raise StableSpaceDefect("stable-basis top block is numerically singular")
@@ -307,7 +306,7 @@ def solve_are(prob: LqrProblem) -> RiccatiSolution:
     K = Rinv @ sys.B.T @ Pbar
     poles = np.asarray(sorted((lam[i] for i in stable),
                               key=lambda z: (z.real, z.imag)), dtype=complex)
-    achieved = sorted(numkit.eigen(sys.A - sys.B @ K).values,
+    achieved = sorted(np.linalg.eigvals(sys.A - sys.B @ K),
                       key=lambda z: (z.real, z.imag))
     for want, got in zip(poles, achieved):
         if abs(want - got) > 1e-6 * (1.0 + abs(want)):
@@ -353,29 +352,26 @@ def return_difference_report(solution: RiccatiSolution,
     R = prob.R
     Cfac = prob.state_cost_factor()
     n, m = sys.n, sys.m
-    rd = np.zeros(omegas.size)
-    sens = np.zeros(omegas.size)
-    worst_resid = 0.0
+    # every frequency at once: resolvent[k] = (j omega_k I - A)^{-1} B
+    shifted = 1j * omegas[:, None, None] * np.eye(n) - sys.A
+    resolvent = np.linalg.solve(shifted, sys.B.astype(complex))
+    L = K @ resolvent
+    Pjw = Cfac @ resolvent
+    lhs = R + Pjw.conj().transpose(0, 2, 1) @ Pjw
+    IL = np.eye(m) + L
+    rhs = IL.conj().transpose(0, 2, 1) @ R @ IL
+    # relative to the local magnitude: near poles of the plant both
+    # sides blow up together and an absolute gap means nothing
     rnorm = max(float(np.linalg.norm(R)), 1e-300)
-    for i, om in enumerate(omegas):
-        resolvent = np.linalg.solve(1j * om * np.eye(n) - sys.A,
-                                    sys.B.astype(complex))
-        L = K @ resolvent
-        Pjw = Cfac @ resolvent
-        lhs = R + Pjw.conj().T @ Pjw
-        IL = np.eye(m) + L
-        rhs = IL.conj().T @ R @ IL
-        # relative to the local magnitude: near poles of the plant both
-        # sides blow up together and an absolute gap means nothing
-        scale = max(float(np.linalg.norm(lhs)), rnorm)
-        worst_resid = max(worst_resid,
-                          float(np.linalg.norm(lhs - rhs)) / scale)
-        if m == 1:
-            val = abs(IL[0, 0])
-        else:
-            val = float(np.linalg.svd(IL, compute_uv=False)[-1])
-        rd[i] = val
-        sens[i] = 1.0 / val if val > 0 else np.inf
+    scale = np.maximum(np.linalg.norm(lhs, axis=(1, 2)), rnorm)
+    gaps = np.linalg.norm(lhs - rhs, axis=(1, 2)) / scale
+    worst_resid = float(np.max(gaps, initial=0.0))
+    if m == 1:
+        rd = np.abs(IL[:, 0, 0])
+    else:
+        rd = np.linalg.svd(IL, compute_uv=False)[:, -1]
+    with np.errstate(divide="ignore"):
+        sens = np.where(rd > 0, 1.0 / rd, np.inf)
     imin = int(np.argmin(rd))
     return FrequencyReport(
         omegas=omegas, return_difference=rd, sensitivity=sens,

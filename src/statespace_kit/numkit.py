@@ -9,7 +9,8 @@ Conventions fixed here for the whole package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -61,15 +62,35 @@ class EigenStructure:
     values lists every eigenvalue with its algebraic multiplicity;
     right_vectors holds the corresponding unit eigenvector columns.
     distinct_values / algebraic_multiplicity / geometric_multiplicity are
-    parallel per-distinct-eigenvalue arrays.
+    parallel per-distinct-eigenvalue arrays. geometric_multiplicity and
+    is_diagonalizable cost one SVD per distinct eigenvalue and are computed
+    from the kept matrix on first read.
     """
 
     values: np.ndarray
     right_vectors: np.ndarray
     distinct_values: np.ndarray
     algebraic_multiplicity: np.ndarray
-    geometric_multiplicity: np.ndarray
-    is_diagonalizable: bool
+    matrix: np.ndarray = field(repr=False, compare=False)
+
+    @cached_property
+    def geometric_multiplicity(self) -> np.ndarray:
+        # rank test on the shifted matrix must absorb the eigensolver's
+        # backward error, which scales with the basis conditioning and the
+        # size of A
+        M = self.matrix
+        n = M.shape[0]
+        rank_tol = 1e-8 * float(np.linalg.norm(M, 1))
+        geo = np.array(
+            [n - rank(M - lam * np.eye(n), tol=rank_tol)
+             for lam in self.distinct_values],
+            dtype=int,
+        )
+        return np.minimum(np.maximum(geo, 1), self.algebraic_multiplicity)
+
+    @cached_property
+    def is_diagonalizable(self) -> bool:
+        return bool(np.all(self.geometric_multiplicity == self.algebraic_multiplicity))
 
 
 def _cluster_eigenvalues(values: np.ndarray, tol: float):
@@ -94,7 +115,8 @@ def eigen(A, tol: float | None = None) -> EigenStructure:
 
     Conjugate pairing for real input is inherited from the backend solver.
     Geometric multiplicities are rank tests on (A - lambda I) with a cutoff
-    of 1e-8 ||A||_1, so the verdict does not change when A is scaled.
+    of 1e-8 ||A||_1, so the verdict does not change when A is scaled; they
+    are left undone until a caller reads them.
     """
     M = require_square(A)
     n = M.shape[0]
@@ -106,37 +128,33 @@ def eigen(A, tol: float | None = None) -> EigenStructure:
     if tol is None:
         tol = n * _EPS * scale * 64
     distinct, alg = _cluster_eigenvalues(values, tol)
-    # rank test on the shifted matrix must absorb the eigensolver's backward
-    # error, which scales with the basis conditioning and the size of A
-    rank_tol = 1e-8 * float(np.linalg.norm(M, 1))
-    geo = np.array(
-        [n - rank(M - lam * np.eye(n), tol=rank_tol) for lam in distinct], dtype=int
-    )
-    geo = np.minimum(np.maximum(geo, 1), alg)
     return EigenStructure(
         values=values,
         right_vectors=vectors,
         distinct_values=distinct,
         algebraic_multiplicity=alg,
-        geometric_multiplicity=geo,
-        is_diagonalizable=bool(np.all(geo == alg)),
+        matrix=M,
     )
 
 
-def rank(A, tol: float | None = None) -> int:
-    """Numerical rank by singular values.
+def singular_value_rank(s, shape, tol: float | None = None) -> int:
+    """Numerical rank from the descending singular values of a shape matrix.
 
     Default cutoff is n * eps * sigma_max with n the larger dimension.
     """
-    M = np.atleast_2d(np.asarray(A))
-    if M.size == 0:
-        return 0
-    s = np.linalg.svd(M, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
     if tol is None:
-        tol = max(M.shape) * _EPS * float(s[0])
+        tol = max(shape) * _EPS * float(s[0])
     return int(np.count_nonzero(s > tol))
+
+
+def rank(A, tol: float | None = None) -> int:
+    """Numerical rank by singular values; cutoff as in singular_value_rank."""
+    M = np.atleast_2d(np.asarray(A))
+    if M.size == 0:
+        return 0
+    return singular_value_rank(np.linalg.svd(M, compute_uv=False), M.shape, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,16 @@ from .errors import (
     NotDiagonalizable,
     RepeatedEigenvalues,
     SingularFundamental,
+    WorkBudgetExceeded,
 )
 from .model import LtvModel, NonlinearModel, StateSpace
 
 _EPS = float(np.finfo(float).eps)
+
+# total Simpson substeps a callable-input LTI simulation may take: about 4 s
+# at the 18 us per substep measured for a 2-state model on a 2-vCPU x86 host.
+# A longer run raises WorkBudgetExceeded before it starts.
+SUBSTEP_BUDGET = 200_000
 
 
 @dataclass(frozen=True)
@@ -234,7 +240,8 @@ def simulate(model, x0, times, u=None, max_step: float = None) -> Trajectory:
     A constant-coefficient model with no or a constant input is exact:
     [x; u] follows the flow of [[A, B], [0, 0]] and max_step is not used.
     With a callable input it uses the exact interval propagator and a
-    Simpson rule for the forced term. Time-varying and nonlinear models use
+    Simpson rule for the forced term, on at most SUBSTEP_BUDGET substeps in
+    all (WorkBudgetExceeded otherwise). Time-varying and nonlinear models use
     fixed-step fourth-order integration. A non-finite state or exponential
     stops the run early and marks the result truncated.
     """
@@ -285,12 +292,18 @@ def _simulate_lti(sys: StateSpace, x0, times, u, max_step):
             cache[key] = (numkit.expm(sys.A, h), numkit.expm(sys.A, h / 2.0))
         return cache[key]
 
-    for k in range(times.size - 1):
-        dt = times[k + 1] - times[k]
-        if max_step is not None:
-            sub = max(1, int(np.ceil(dt / max_step)))
-        else:
-            sub = max(4, int(np.ceil(dt * max(8.0, 16.0 * anorm))))
+    dts = np.diff(times)
+    if max_step is not None:
+        subs = np.maximum(1.0, np.ceil(dts / max_step))
+    else:
+        subs = np.maximum(4.0, np.ceil(dts * max(8.0, 16.0 * anorm)))
+    total = float(np.sum(subs))
+    if total > SUBSTEP_BUDGET:
+        raise WorkBudgetExceeded(
+            f"callable-input simulation needs {total:.3g} substeps, "
+            f"over the budget of {SUBSTEP_BUDGET}"
+        )
+    for k, (dt, sub) in enumerate(zip(dts, subs.astype(int))):
         h = dt / sub
         Eh, Eh2 = props(h)
         t = times[k]

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 from scipy.special import erfinv
 
 from . import numkit
@@ -38,10 +39,15 @@ def lti_stability(A, tol: float = None) -> StabilityVerdict:
     lam = eig.values
     witnesses = [complex(z) for z in lam if z.real > tol]
     deficits = []
-    for z, am, gm in zip(eig.distinct_values, eig.algebraic_multiplicity,
-                         eig.geometric_multiplicity):
-        if abs(z.real) <= tol and gm < am:
-            deficits.append((complex(z), am - gm))
+    # multiplicities cost one rank test per distinct eigenvalue, so they are
+    # read only when some eigenvalue sits in the axis band
+    on_axis = np.abs(eig.distinct_values.real) <= tol
+    if np.any(on_axis):
+        for z, am, gm in zip(eig.distinct_values[on_axis],
+                             eig.algebraic_multiplicity[on_axis],
+                             eig.geometric_multiplicity[on_axis]):
+            if gm < am:
+                deficits.append((complex(z), am - gm))
     if witnesses:
         kind = UNSTABLE
     elif deficits:
@@ -71,29 +77,28 @@ class LyapunovCertificate:
 
 
 def solve_lyapunov(A, Q) -> np.ndarray:
-    """Solve A'P + PA = -Q through the stacked linear system.
+    """Solve A'P + PA = -Q by the Bartels-Stewart method.
 
     Solvable exactly when no two eigenvalues of A are negatives of each
-    other. Dense stacking limits this to moderate state dimensions.
+    other; such a pair raises SingularLyapunovOperator. Schur reduction
+    keeps the cost O(n^3), so there is no size limit.
     """
     A = numkit.require_square(A)
     Q = numkit.require_square(Q)
     n = A.shape[0]
     if Q.shape[0] != n:
         raise ValueError("Q must match A in size")
-    if n > 30:
-        raise ValueError("stacked solve is limited to n <= 30")
-    lam = numkit.eigen(A).values
+    lam = np.linalg.eigvals(A)
     scale = 1.0 + float(np.max(np.abs(lam), initial=0.0))
-    for i in range(n):
-        for j in range(i, n):
-            if abs(lam[i] + lam[j]) <= 1e-9 * scale:
-                raise SingularLyapunovOperator(
-                    f"eigenvalue pair sums to zero: {lam[i]:.6g}, {lam[j]:.6g}"
-                )
-    op = np.kron(np.eye(n), A.T) + np.kron(A.T, np.eye(n))
-    vecP = np.linalg.solve(op, -Q.reshape(-1, order="F"))
-    P = vecP.reshape((n, n), order="F")
+    # pairs (i, j) with i <= j in row order, so the first hit is reported
+    sums = np.abs(lam[:, None] + lam[None, :])
+    hits = np.argwhere(np.triu(sums <= 1e-9 * scale))
+    if hits.size:
+        i, j = hits[0]
+        raise SingularLyapunovOperator(
+            f"eigenvalue pair sums to zero: {lam[i]:.6g}, {lam[j]:.6g}"
+        )
+    P = scipy.linalg.solve_continuous_lyapunov(A.T, -Q)
     return 0.5 * (P + P.T)
 
 

@@ -44,19 +44,28 @@ def observability_matrix(A, C) -> np.ndarray:
 
 
 def _range_basis(M, tol=None):
+    """Range basis and the rank at tol, from one SVD.
+
+    The basis is cut at the default rank cutoff whatever tol is.
+    """
     if M.size == 0:
-        return np.zeros((M.shape[0], 0))
-    U, s, _ = np.linalg.svd(M)
-    r = numkit.rank(M, tol)
-    return U[:, :r]
+        return np.zeros((M.shape[0], 0)), 0
+    U, s, _ = np.linalg.svd(M, full_matrices=False)
+    basis = U[:, :numkit.singular_value_rank(s, M.shape)]
+    return basis, numkit.singular_value_rank(s, M.shape, tol)
 
 
 def _null_basis(M, tol=None):
+    """Null-space basis and the rank at tol, from one SVD.
+
+    The basis is cut at the default rank cutoff whatever tol is.
+    """
     if M.size == 0:
-        return np.eye(M.shape[1]) if M.shape[1] else np.zeros((0, 0))
-    _, s, Vh = np.linalg.svd(M)
-    r = numkit.rank(M, tol)
-    return Vh[r:, :].T.conj()
+        return (np.eye(M.shape[1]) if M.shape[1] else np.zeros((0, 0))), 0
+    # the full right factor is needed only when M has fewer rows than columns
+    _, s, Vh = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
+    basis = Vh[numkit.singular_value_rank(s, M.shape):, :].T.conj()
+    return basis, numkit.singular_value_rank(s, M.shape, tol)
 
 
 @dataclass(frozen=True)
@@ -84,8 +93,8 @@ def structural_analysis(sys: StateSpace, tol: float = None) -> StructuralReport:
     n = sys.n
     Ct = controllability_matrix(A, B)
     Ob = observability_matrix(A, C)
-    rc = numkit.rank(Ct, tol) if Ct.size else 0
-    ro = numkit.rank(Ob, tol) if Ob.size else 0
+    ctrb_basis, rc = _range_basis(Ct, tol)
+    unobs_basis, ro = _null_basis(Ob, tol)
     eig = numkit.eigen(A)
     unc = []
     unob = []
@@ -108,8 +117,8 @@ def structural_analysis(sys: StateSpace, tol: float = None) -> StructuralReport:
         unobservable_modes=tuple(unob),
         stabilizable=stabilizable,
         detectable=detectable,
-        controllable_subspace_basis=_range_basis(Ct),
-        unobservable_subspace_basis=_null_basis(Ob),
+        controllable_subspace_basis=ctrb_basis,
+        unobservable_subspace_basis=unobs_basis,
     )
 
 
@@ -163,8 +172,9 @@ def controllability_grammian(model, t0: float, tf: float) -> GrammianReport:
     """Energy grammian of the input-to-state map on [t0, tf].
 
     Constant coefficients are exact: the integral of e^{-A s} B B' e^{-A' s}
-    over [0, tf - t0] by numkit.expm_gramian. tf = inf uses the stacked
-    linear-equation solve and requires every mode strictly stable.
+    over [0, tf - t0] by numkit.expm_gramian. tf = inf solves the Lyapunov
+    equation (stability.solve_lyapunov) and requires every mode strictly
+    stable.
     Time-varying models use Simpson quadrature on 400 panels.
     """
     if isinstance(model, StateSpace):
@@ -411,7 +421,8 @@ def minimum_energy_steer(model, x0, xf, t0: float, tf: float,
     phi(t0, tf) xf). For constant coefficients the trajectory is exact: x and
     the costate lambda = e^{A' (t0 - t)} eta follow the flow of
     [[A, -B B'], [0, -A']] from [x0; eta], and u = -B' lambda. Time-varying
-    models simulate the constructed control.
+    models simulate the constructed control. Returns (u, trajectory); the
+    GrammianReport of W rides on the control as u.grammian.
     """
     x0 = numkit.as_vector(x0).astype(float)
     xf = numkit.as_vector(xf).astype(float)
@@ -429,6 +440,7 @@ def minimum_energy_steer(model, x0, xf, t0: float, tf: float,
         def u(t, _eta=eta):
             return -(B.T @ numkit.expm(A, t0 - t).T @ _eta)
 
+        u.grammian = rep
         flow = np.block([[A, -B @ B.T], [np.zeros((n, n)), -A.T]])
         z = numkit.expm_flow(flow, np.concatenate([x0, eta]), times)
         return u, lti_trajectory(model, times, z[:, :n], -(z[:, n:] @ B))
@@ -438,6 +450,7 @@ def minimum_energy_steer(model, x0, xf, t0: float, tf: float,
     def u(t, _eta=eta):
         return -(numkit.as_matrix(model.B(t)).T @ fm(t0, t).T @ _eta)
 
+    u.grammian = rep
     return u, simulate(model, x0, times, u=u)
 
 

@@ -97,3 +97,19 @@ def expm_calls(monkeypatch):
 
     monkeypatch.setattr(numkit, "expm", counted)
     return calls
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """Counts of np.linalg.svd and np.linalg.eig calls made through numpy's
+    public names, which is how the package calls them."""
+    calls = {"svd": 0, "eig": 0}
+    for name in calls:
+        real = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls

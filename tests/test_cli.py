@@ -213,6 +213,48 @@ def test_steer_command(tmp_path):
     assert (out / "trajectory.csv").exists()
 
 
+def test_steer_builds_the_grammian_once(tmp_path, monkeypatch):
+    # in process, so the grammian builder can be counted
+    from statespace_kit import cli, structural
+
+    calls = []
+    real = structural.controllability_grammian
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(structural, "controllability_grammian", counted)
+    inp = write_json(tmp_path / "in.json", {
+        "model": {"type": "lti", "A": [[0.0, 1.0], [0.0, 0.0]],
+                  "B": [[0.0], [1.0]]},
+        "x0": [0.0, 0.0], "xf": [1.0, 0.0], "t0": 0.0, "tf": 1.0,
+    })
+    out = tmp_path / "out"
+    assert cli.main(["steer", "--input", inp, "--out", str(out)]) == 0
+    assert len(calls) == 1
+    # W = [[1/3, 1/2], [1/2, 1]] on [0, 1]
+    cond = read_report(out)["results"]["grammianConditioning"]
+    assert cond == pytest.approx(np.linalg.cond([[1 / 3, 0.5], [0.5, 1.0]]),
+                                 rel=1e-9)
+
+
+def test_stability_reports_lyapunov_beyond_thirty_states(tmp_path):
+    n = 40
+    A = np.random.default_rng(43).normal(size=(n, n)) / np.sqrt(n) \
+        - 2.0 * np.eye(n)
+    inp = write_json(tmp_path / "in.json",
+                     {"model": {"type": "lti", "A": A.tolist()}})
+    out = tmp_path / "out"
+    proc = run_cli("stability", "--input", inp, "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    results = read_report(out)["results"]
+    assert results["verdict"] == "asymptoticallyStable"
+    P = np.array(results["lyapunovP"])
+    assert P.shape == (n, n)
+    assert np.linalg.norm(A.T @ P + P @ A + np.eye(n)) <= 1e-10 * np.sqrt(n)
+
+
 def test_structural_nonlinear_builtin_rejected(tmp_path):
     inp = write_json(tmp_path / "in.json",
                      {"model": {"type": "nonlinear-builtin",

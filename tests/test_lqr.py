@@ -115,6 +115,20 @@ def test_are_residual_is_tiny():
     assert np.max(np.abs(res)) <= 1e-10
 
 
+def test_are_work_counts_dense(linalg_calls):
+    # one SVD per Krylov matrix, two PBH rank tests per mode, and one
+    # eigendecomposition each of A and the coupled-flow matrix
+    n, m = 30, 2
+    gen = rng(71)
+    A = gen.normal(size=(n, n)) / np.sqrt(n) - 0.5 * np.eye(n)
+    G = gen.normal(size=(n, n))
+    prob = LqrProblem(state_space(A, gen.normal(size=(n, m))),
+                      Q=G @ G.T / n + 0.5 * np.eye(n), R=np.eye(m))
+    solve_are(prob)
+    assert linalg_calls["svd"] <= 2 * n + 2
+    assert linalg_calls["eig"] <= 2
+
+
 def test_are_zero_weight_warns_and_returns_zero():
     sys = state_space(np.diag([-1.0, -2.0]), np.array([[1.0], [1.0]]))
     sol = solve_are(LqrProblem(sys, Q=np.zeros((2, 2)), R=np.array([[1.0]])))
@@ -208,6 +222,37 @@ def test_margin_bound_two_input_fixture():
     rep = return_difference_report(solve_are(two_input_problem()))
     assert rep.min_return_difference >= 1.0 - 1e-6
     assert rep.identity_residual <= 1e-7
+
+
+def _loop_margins(sol, omegas):
+    """Per-frequency reference for the stacked margin sweep."""
+    prob = sol.problem
+    A, B, K, R = prob.sys.A, prob.sys.B, sol.K_bar, prob.R
+    Cfac = prob.state_cost_factor()
+    n, m = B.shape
+    rd, worst = [], 0.0
+    for om in omegas:
+        res = np.linalg.solve(1j * om * np.eye(n) - A, B.astype(complex))
+        IL = np.eye(m) + K @ res
+        lhs = R + (Cfac @ res).conj().T @ (Cfac @ res)
+        rhs = IL.conj().T @ R @ IL
+        worst = max(worst, np.linalg.norm(lhs - rhs)
+                    / max(np.linalg.norm(lhs), np.linalg.norm(R)))
+        rd.append(np.linalg.svd(IL, compute_uv=False)[-1])
+    return np.array(rd), worst
+
+
+@pytest.mark.parametrize("problem", [chain_problem, two_input_problem])
+def test_margin_sweep_matches_per_frequency_loop(problem):
+    sol = solve_are(problem())
+    omegas = np.logspace(-2, 2, 57)
+    rep = return_difference_report(sol, omegas=omegas)
+    rd, worst = _loop_margins(sol, omegas)
+    np.testing.assert_allclose(rep.return_difference, rd, rtol=1e-12)
+    np.testing.assert_allclose(rep.sensitivity, 1.0 / rd, rtol=1e-12)
+    assert rep.min_return_difference == rep.return_difference.min()
+    assert rep.min_omega == omegas[np.argmin(rd)]
+    assert abs(rep.identity_residual - worst) <= 1e-14
 
 
 def test_margin_zero_gain_is_unity():

@@ -40,6 +40,15 @@ def test_eigen_defective_case():
     assert not eig.is_diagonalizable
 
 
+def test_eigen_multiplicities_wait_for_first_read(linalg_calls):
+    eig = numkit.eigen(np.diag(np.arange(60.0)))
+    assert linalg_calls == {"svd": 0, "eig": 1}
+    assert list(eig.geometric_multiplicity) == [1] * 60
+    assert linalg_calls["svd"] == 60
+    assert eig.is_diagonalizable
+    assert linalg_calls["svd"] == 60
+
+
 def test_eigen_rejects_rectangular():
     with pytest.raises(NonSquare):
         numkit.eigen(np.zeros((2, 3)))

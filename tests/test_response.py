@@ -15,6 +15,7 @@ from statespace_kit.errors import (
     IllConditionedVandermonde,
     NotDiagonalizable,
     RepeatedEigenvalues,
+    WorkBudgetExceeded,
 )
 from statespace_kit.model import NonlinearModel, ltv_model, state_space
 from statespace_kit.response import (
@@ -297,6 +298,15 @@ def test_simulate_long_horizon_returns_at_steady_state():
     assert time.perf_counter() - start < 5.0
     assert not traj.truncated
     np.testing.assert_allclose(traj.states[-1], [0.25, 0.0], atol=1e-12)
+
+
+def test_simulate_callable_input_long_horizon_exceeds_budget():
+    sys = siso_system([[0.0, 1.0], [-2.0, -3.0]], [0.0, 1.0], [1.0, 0.0])
+    start = time.perf_counter()
+    with pytest.raises(WorkBudgetExceeded):
+        simulate(sys, [1.0, -1.0], np.linspace(0.0, 1e9, 11),
+                 u=lambda t: np.array([np.sin(t)]))
+    assert time.perf_counter() - start < 2.0
 
 
 def test_simulate_overflowing_step_truncates_without_raising():

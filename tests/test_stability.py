@@ -56,6 +56,13 @@ def test_deficit_verdict_is_scale_free():
     assert lti_stability(A).kind == "stableISL"
 
 
+def test_stable_verdict_makes_no_rank_tests(linalg_calls):
+    n = 30
+    A = rng(61).normal(size=(n, n)) / np.sqrt(n) - 2.0 * np.eye(n)
+    assert lti_stability(A).kind == "asymptoticallyStable"
+    assert linalg_calls["svd"] == 0
+
+
 def test_unstable_witness_reported():
     v = lti_stability(np.array([[0.0, 1.0], [2.0, 1.0]]))
     assert v.kind == "unstable"
@@ -119,6 +126,17 @@ def test_lyapunov_residual_definition():
     Q = np.eye(2)
     P = solve_lyapunov(A, Q)
     assert np.max(np.abs(A.T @ P + P @ A + Q)) <= 1e-12
+
+
+def test_lyapunov_large_state_residual():
+    # Schur-based solve, no size limit
+    n = 60
+    gen = rng(67)
+    A = gen.normal(size=(n, n)) / np.sqrt(n) - 2.0 * np.eye(n)
+    F = gen.normal(size=(n, n))
+    Q = F @ F.T
+    P = solve_lyapunov(A, Q)
+    assert np.linalg.norm(A.T @ P + P @ A + Q) <= 1e-10 * np.linalg.norm(Q)
 
 
 def test_lyapunov_singular_spectrum_pair():
