@@ -10,6 +10,7 @@ loads.
 
 from __future__ import annotations
 
+import bisect
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -201,20 +202,16 @@ def _ss_out(sys: StateSpace) -> dict:
     }
 
 
-def _fmt(v: float) -> str:
-    # 17 significant digits round-trips every double
-    return f"{float(v):.17g}"
-
-
 def _csv(header: List[str], rows) -> str:
+    # 17 significant digits round-trip every double; "%.17g" converts each
+    # value with float() as an f-string would, one format call per row
+    template = ",".join(["%.17g"] * len(header))
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines.extend(template % tuple(row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
 def _trajectory_csv(traj: response.Trajectory) -> str:
-    k = traj.times.size
     n = traj.states.shape[1] if traj.states.ndim == 2 else 0
     m = traj.inputs.shape[1] if traj.inputs.ndim == 2 else 0
     p = traj.outputs.shape[1] if traj.outputs.ndim == 2 else 0
@@ -222,14 +219,9 @@ def _trajectory_csv(traj: response.Trajectory) -> str:
               + [f"x{i + 1}" for i in range(n)]
               + [f"u{j + 1}" for j in range(m)]
               + [f"y{j + 1}" for j in range(p)])
-    rows = []
-    for i in range(k):
-        row = [traj.times[i]]
-        row.extend(traj.states[i])
-        row.extend(traj.inputs[i])
-        row.extend(traj.outputs[i])
-        rows.append(row)
-    return _csv(header, rows)
+    table = np.hstack([traj.times.reshape(-1, 1), traj.states, traj.inputs,
+                       traj.outputs])
+    return _csv(header, table.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -237,15 +229,17 @@ def _trajectory_csv(traj: response.Trajectory) -> str:
 
 
 def _interp_stack(times: np.ndarray, stack: np.ndarray):
-    def at(t: float, _ts=times, _st=stack) -> np.ndarray:
-        if t <= _ts[0]:
-            return _st[0]
-        if t >= _ts[-1]:
-            return _st[-1]
-        j = int(np.searchsorted(_ts, t, side="right"))
-        j = min(max(j, 1), _ts.size - 1)
-        w = (t - _ts[j - 1]) / (_ts[j] - _ts[j - 1])
-        return (1.0 - w) * _st[j - 1] + w * _st[j]
+    ts = times.tolist()
+    last = len(ts) - 1
+
+    def at(t: float) -> np.ndarray:
+        if t <= ts[0]:
+            return stack[0]
+        if t >= ts[-1]:
+            return stack[-1]
+        j = min(bisect.bisect_right(ts, t), last)
+        w = (t - ts[j - 1]) / (ts[j] - ts[j - 1])
+        return (1.0 - w) * stack[j - 1] + w * stack[j]
 
     return at
 

@@ -112,7 +112,10 @@ def solve_rde(prob: LqrProblem, steps: int = None) -> RiccatiSolution:
 
     Fixed-step fourth-order integration on a uniform grid, resymmetrized
     every step; entries running away to infinity raise with the escape
-    time instead of returning garbage.
+    time instead of returning garbage. The weight B R^-1 B' is formed once
+    for a constant-coefficient model; a time-varying model's A(t) and B(t)
+    are evaluated once per distinct stage time (about twice per step), so
+    they must be pure functions of t.
     """
     if prob.infinite:
         raise ValueError("finite horizon required")
@@ -124,25 +127,35 @@ def solve_rde(prob: LqrProblem, steps: int = None) -> RiccatiSolution:
     Rinv = np.linalg.solve(prob.R, np.eye(prob.R.shape[0]))
     escape = 1e12 * (1.0 + float(np.linalg.norm(M) + np.linalg.norm(prob.Q)))
 
-    def flow(P, t):
+    def weights(t):
         A, B = _coeff_matrices(prob, t)
-        S = B @ Rinv @ B.T
+        return A, B @ Rinv @ B.T
+
+    if isinstance(prob.sys, StateSpace):
+        fixed = weights(prob.t1)
+        coeffs = lambda t: fixed  # noqa: E731
+    else:
+        coeffs = numkit.once_per_time(weights)
+
+    def flow(P, t):
+        A, S = coeffs(t)
         return prob.Q + P @ A + A.T @ P - P @ S @ P
 
     times = [prob.t1]
     grid = [M.astype(float)]
     P = M.astype(float)
     t = prob.t1
+    h2, h6 = h / 2, h / 6
     # marching in s = t1 - t, where the quadratic flow enters with plus sign
     for _ in range(steps):
         k1 = flow(P, t)
-        k2 = flow(P + (h / 2) * k1, t - h / 2)
-        k3 = flow(P + (h / 2) * k2, t - h / 2)
+        k2 = flow(P + h2 * k1, t - h2)
+        k3 = flow(P + h2 * k2, t - h2)
         k4 = flow(P + h * k3, t - h)
-        P = P + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        P = P + h6 * (k1 + 2 * k2 + 2 * k3 + k4)
         P = 0.5 * (P + P.T)
         t -= h
-        if not np.all(np.isfinite(P)) or float(np.linalg.norm(P)) > escape:
+        if not np.isfinite(P).all() or float(np.linalg.norm(P)) > escape:
             raise FiniteEscape(f"solution escaped near t = {t:.6g}")
         times.append(t)
         grid.append(P)

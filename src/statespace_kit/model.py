@@ -102,6 +102,13 @@ class LtvModel:
 
 
 def ltv_model(A, B=None, C=None, D=None, n=None, m=None, p=None, breaks=()) -> LtvModel:
+    """Time-varying model from matrix-valued callables of t.
+
+    Missing B, C, D default to no input, the full state and no feedthrough;
+    missing dimensions are read from the callables at t = 0. Simulation and
+    the Riccati sweep evaluate the callables once per distinct stage time
+    and reuse the result, so they must be pure functions of t.
+    """
     if n is None:
         n = numkit.require_square(A(0.0)).shape[0]
     if B is None:

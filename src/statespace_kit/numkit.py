@@ -32,9 +32,27 @@ _EPS = float(np.finfo(float).eps)
 
 def as_matrix(A, dtype=float) -> np.ndarray:
     M = np.atleast_2d(np.asarray(A, dtype=dtype))
-    if not np.all(np.isfinite(M)):
+    if not np.isfinite(M).all():
         raise ValueError("matrix entries must be finite")
     return M
+
+
+def once_per_time(fn):
+    """fn(t) with the last result kept: a repeat call at an equal t returns it.
+
+    Fixed-step fourth-order marches ask for their coefficients at t, twice at
+    the midpoint, then at the next step's t, so one entry halves the calls.
+    fn must be a pure function of t.
+    """
+    last_t, last = None, None
+
+    def at(t):
+        nonlocal last_t, last
+        if last_t is None or t != last_t:
+            last, last_t = fn(t), t
+        return last
+
+    return at
 
 
 def require_square(A) -> np.ndarray:
@@ -46,7 +64,7 @@ def require_square(A) -> np.ndarray:
 
 def as_vector(x, dtype=float) -> np.ndarray:
     v = np.asarray(x, dtype=dtype).reshape(-1)
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector entries must be finite")
     return v
 
@@ -251,7 +269,7 @@ def expm_flow(M, z0, times) -> np.ndarray:
             except Overflow:
                 break
         z = steps[key] @ z
-        if not np.all(np.isfinite(z)):
+        if not np.isfinite(z).all():
             break
         rows.append(z)
     return np.array(rows)

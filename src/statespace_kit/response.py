@@ -151,10 +151,12 @@ def fundamental_matrix_ltv(
 
     Classical fourth-order stepping with nodes forced onto the declared
     discontinuity points; evaluation between nodes uses cubic Hermite
-    interpolation of the stored solution and its derivative.
+    interpolation of the stored solution and its derivative. A(t) is
+    evaluated once per distinct stage time (about twice per step), so it
+    must be a pure function of t.
     """
     n = model.n
-    A = model.A
+    A = numkit.once_per_time(lambda t: numkit.as_matrix(model.A(t)))
     span = float(t1) - float(t0)
     if span <= 0:
         raise ValueError("need t1 > t0")
@@ -162,22 +164,23 @@ def fundamental_matrix_ltv(
         max_step = span / 800.0
     ts = [t0]
     Us = [np.eye(n)]
-    dUs = [numkit.as_matrix(A(t0)) @ Us[0]]
+    dUs = [A(t0) @ Us[0]]
     for a, b in _segments(t0, t1, model.piecewise_continuity_breaks):
         steps = max(2, int(np.ceil((b - a) / max_step)))
         h = (b - a) / steps
+        h2, h6 = h / 2, h / 6
         U = Us[-1]
         t = a
         for _ in range(steps):
-            k1 = numkit.as_matrix(A(t)) @ U
-            k2 = numkit.as_matrix(A(t + h / 2)) @ (U + h / 2 * k1)
-            k3 = numkit.as_matrix(A(t + h / 2)) @ (U + h / 2 * k2)
-            k4 = numkit.as_matrix(A(t + h)) @ (U + h * k3)
-            U = U + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+            k1 = A(t) @ U
+            k2 = A(t + h2) @ (U + h2 * k1)
+            k3 = A(t + h2) @ (U + h2 * k2)
+            k4 = A(t + h) @ (U + h * k3)
+            U = U + h6 * (k1 + 2 * k2 + 2 * k3 + k4)
             t += h
             ts.append(t)
             Us.append(U)
-            dUs.append(numkit.as_matrix(A(t)) @ U)
+            dUs.append(A(t) @ U)
     table = _HermiteTable(ts, Us, dUs)
 
     def ev(t, tau, _tab=table):
@@ -242,8 +245,13 @@ def simulate(model, x0, times, u=None, max_step: float = None) -> Trajectory:
     With a callable input it uses the exact interval propagator and a
     Simpson rule for the forced term, on at most SUBSTEP_BUDGET substeps in
     all (WorkBudgetExceeded otherwise). Time-varying and nonlinear models use
-    fixed-step fourth-order integration. A non-finite state or exponential
-    stops the run early and marks the result truncated.
+    fixed-step fourth-order integration, ceil((b - a) / max_step) steps on
+    each piece [a, b] between samples and breaks; that ceil is taken in
+    floating point and can exceed the ideal count by one (3 steps for a
+    0.02 interval at max_step 0.01). A time-varying model's A(t) and B(t)
+    are evaluated once per distinct stage time, so they must be pure
+    functions of t. A non-finite state or exponential stops the run early
+    and marks the result truncated.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 2 or np.any(np.diff(times) <= 0):
@@ -251,8 +259,14 @@ def simulate(model, x0, times, u=None, max_step: float = None) -> Trajectory:
     if isinstance(model, StateSpace):
         return _simulate_lti(model, x0, times, u, max_step)
     if isinstance(model, LtvModel):
-        f = lambda x, v, t: numkit.as_matrix(model.A(t)) @ x + (  # noqa: E731
-            numkit.as_matrix(model.B(t)) @ v if model.m else 0.0)
+        coeffs = numkit.once_per_time(lambda t: (
+            numkit.as_matrix(model.A(t)),
+            numkit.as_matrix(model.B(t)) if model.m else None))
+
+        def f(x, v, t):
+            A, B = coeffs(t)
+            return A @ x + (B @ v if model.m else 0.0)
+
         h = lambda x, v, t: numkit.as_matrix(model.C(t)) @ x + (  # noqa: E731
             numkit.as_matrix(model.D(t)) @ v if model.m else 0.0)
         shell = NonlinearModel(f=f, h=h, n=model.n, m=model.m, p=model.p)
@@ -338,15 +352,16 @@ def _simulate_rk4(model: NonlinearModel, x0, times, u, max_step, breaks):
         for a, b in segs:
             steps = max(1, int(np.ceil((b - a) / max_step)))
             h = (b - a) / steps
+            h2, h6 = h / 2, h / 6
             t = a
             for _ in range(steps):
                 k1 = f(x, t)
-                k2 = f(x + h / 2 * k1, t + h / 2)
-                k3 = f(x + h / 2 * k2, t + h / 2)
+                k2 = f(x + h2 * k1, t + h2)
+                k3 = f(x + h2 * k2, t + h2)
                 k4 = f(x + h * k3, t + h)
-                x = x + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+                x = x + h6 * (k1 + 2 * k2 + 2 * k3 + k4)
                 t += h
-                if not np.all(np.isfinite(x)):
+                if not np.isfinite(x).all():
                     ok = False
                     break
             if not ok:

@@ -1,0 +1,100 @@
+"""In-process checks of the batch tool's CSV writers and sampled-model
+interpolation against the per-value formulas they replace."""
+
+import numpy as np
+
+from statespace_kit import registry
+from statespace_kit._cliops import _csv, _interp_stack, _trajectory_csv
+from statespace_kit.model import NonlinearModel
+from statespace_kit.response import Trajectory, simulate
+
+
+def reference_csv(header, rows):
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(f"{float(v):.17g}" for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def reference_trajectory_csv(traj):
+    n, m, p = (traj.states.shape[1], traj.inputs.shape[1],
+               traj.outputs.shape[1])
+    header = (["t"] + [f"x{i + 1}" for i in range(n)]
+              + [f"u{j + 1}" for j in range(m)]
+              + [f"y{j + 1}" for j in range(p)])
+    rows = [[traj.times[i], *traj.states[i], *traj.inputs[i], *traj.outputs[i]]
+            for i in range(traj.times.size)]
+    return reference_csv(header, rows)
+
+
+def reference_interp(ts, stack, t):
+    if t <= ts[0]:
+        return stack[0]
+    if t >= ts[-1]:
+        return stack[-1]
+    j = int(np.searchsorted(ts, t, side="right"))
+    j = min(max(j, 1), ts.size - 1)
+    w = (t - ts[j - 1]) / (ts[j] - ts[j - 1])
+    return (1.0 - w) * stack[j - 1] + w * stack[j]
+
+
+# ---------------------------------------------------------------------------
+# CSV writers
+
+
+def test_csv_matches_per_value_formatting_on_edge_values():
+    header = ["a", "b", "c", "d", "e", "f"]
+    rows = [
+        [-0.0, float("inf"), -float("inf"), float("nan"), 5e-324, 1e300],
+        [3, -7, True, False, np.bool_(True), np.bool_(False)],
+        [np.float64(0.1), np.float64(-2.5e-310), 1 / 3, 2**60 + 1,
+         np.float32(0.1), np.int64(-12)],
+        np.array([1e-300, -1e16, 123456789.123456789, 0.0, -1.0, 2.0]),
+    ]
+    assert _csv(header, rows) == reference_csv(header, rows)
+    assert _csv(header, []) == reference_csv(header, [])
+
+
+def test_trajectory_csv_matches_per_value_formatting():
+    sys_times = np.linspace(0.0, 2.0, 41)
+    pendulum = registry.builtin_model("pendulum", None)
+    forced = simulate(pendulum, [0.3, -0.1], sys_times, u=[0.2])
+    vanderpol = simulate(registry.builtin_model("vanderpol", None),
+                         [0.7, 0.2], sys_times)
+    assert vanderpol.inputs.shape == (41, 0)
+    blow_up = NonlinearModel(f=lambda x, u, t: x * x, h=lambda x, u, t: x,
+                             n=1, m=0, p=1)
+    with np.errstate(over="ignore"):
+        truncated = simulate(blow_up, [1.0], np.linspace(0.0, 2.0, 201))
+    assert truncated.truncated
+    for traj in (forced, vanderpol, truncated):
+        assert _trajectory_csv(traj) == reference_trajectory_csv(traj)
+
+
+def test_trajectory_csv_keeps_signed_zero_and_non_finite_values():
+    traj = Trajectory(times=np.array([0.0, 0.5]),
+                      states=np.array([[-0.0, np.inf], [np.nan, 5e-324]]),
+                      inputs=np.zeros((2, 0)),
+                      outputs=np.array([[-np.inf], [1e300]]))
+    text = _trajectory_csv(traj)
+    assert text == reference_trajectory_csv(traj)
+    assert text.splitlines()[1:] == ["0,-0,inf,-inf",
+                                     "0.5,nan,4.9406564584124654e-324,1.0000000000000001e+300"]
+
+
+# ---------------------------------------------------------------------------
+# sampled-model interpolation
+
+
+def test_interp_stack_matches_searchsorted_formula_bitwise():
+    gen = np.random.default_rng(3)
+    ts = np.array([0.0, 0.1, 0.35, 0.35000000000000003, 1.0, 2.5, 4.0])
+    stack = gen.normal(size=(ts.size, 3, 2))
+    at = _interp_stack(ts, stack)
+    between = (ts[:-1] + ts[1:]) / 2
+    inside = gen.uniform(ts[0], ts[-1], size=50)
+    breaks = [0.35, 0.7, 1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)]
+    points = [*ts, *between, *inside, *breaks, -1.0, ts[0] - 1e-12, 4.5,
+              np.inf, -np.inf, 2, np.float64(2.5)]
+    for t in points:
+        assert np.array_equal(at(t), reference_interp(ts, stack, t)), t

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import rng, sorted_complex
+from statespace_kit import lqr as lqr_module
 from statespace_kit import numkit
 from statespace_kit.errors import NotDetectable, NotStabilizable
 from statespace_kit.lqr import (
@@ -18,7 +19,7 @@ from statespace_kit.lqr import (
     symmetric_root_locus,
     symmetric_root_locus_multi,
 )
-from statespace_kit.model import state_space
+from statespace_kit.model import ltv_model, state_space
 from statespace_kit.realization import ccf, rational
 from statespace_kit.response import simulate
 
@@ -341,3 +342,37 @@ def test_value_monotone_in_horizon():
         vals.append(sol.value_at([1.0]))
     assert all(a <= b + 1e-9 for a, b in zip(vals, vals[1:]))
     assert vals[-1] <= 1.0 + SQRT2 + 1e-6
+
+
+def coefficient_calls(monkeypatch):
+    calls = []
+    real = lqr_module._coeff_matrices
+
+    def counted(prob, t):
+        calls.append(t)
+        return real(prob, t)
+
+    monkeypatch.setattr(lqr_module, "_coeff_matrices", counted)
+    return calls
+
+
+def test_rde_forms_constant_weight_once(monkeypatch):
+    calls = coefficient_calls(monkeypatch)
+    prob = LqrProblem(two_input_problem().sys, Q=np.diag([4.0, 1.0]),
+                      R=np.eye(2), M=np.eye(2), t1=1.0)
+    solve_rde(prob, steps=50)
+    assert len(calls) == 1
+
+
+def test_rde_time_varying_evaluates_once_per_stage_time(monkeypatch):
+    calls = coefficient_calls(monkeypatch)
+    sys = state_space(np.array([[0.0, 1.0], [0.0, -1.0]]),
+                      np.array([[0.0], [1.0]]))
+    varying = ltv_model(lambda t: sys.A, lambda t: sys.B, n=2, m=1, p=2)
+    weights = dict(Q=np.diag([1.0, 0.0]), R=np.array([[2.0]]), M=np.eye(2),
+                   t1=2.0)
+    sol = solve_rde(LqrProblem(varying, **weights), steps=200)
+    assert len(calls) <= 2 * 200 + 1
+    # constant callables march exactly as the constant-coefficient model
+    fixed = solve_rde(LqrProblem(sys, **weights), steps=200)
+    assert np.array_equal(sol.P_grid, fixed.P_grid)

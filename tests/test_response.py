@@ -326,3 +326,55 @@ def test_trajectory_fields_aligned():
     assert traj.inputs.shape == (21, 1)
     assert traj.outputs.shape == (21, 1)
     np.testing.assert_allclose(traj.outputs, 2.0 * traj.states, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# coefficient evaluations: once per distinct stage time
+
+
+def counted(fn):
+    def wrapped(t):
+        wrapped.calls += 1
+        return fn(t)
+
+    wrapped.calls = 0
+    return wrapped
+
+
+def rk4_steps(times, max_step):
+    return sum(max(1, int(np.ceil((b - a) / max_step)))
+               for a, b in zip(times[:-1], times[1:]))
+
+
+def test_simulate_ltv_evaluates_coefficients_once_per_stage_time():
+    A_of_t, _ = commutator_fixture()
+
+    def B_of_t(t):
+        return np.array([[np.cos(t)], [1.0]])
+
+    A, B = counted(A_of_t), counted(B_of_t)
+    model = ltv_model(A, B, n=2, m=1, p=2)
+    times = np.linspace(0.0, 4.0, 201)
+    traj = simulate(model, [1.0, -0.5], times, u=[0.3], max_step=0.01)
+    steps = rk4_steps(times, 0.01)
+    assert steps > 400  # the floating-point ceil gives 3 steps to some intervals
+    assert A.calls <= 2 * steps + (times.size - 1)
+    assert B.calls == A.calls
+    # the same march with every stage evaluating its coefficients afresh
+    shell = NonlinearModel(
+        f=lambda x, v, t: numkit.as_matrix(A_of_t(t)) @ x
+        + numkit.as_matrix(B_of_t(t)) @ v,
+        h=lambda x, v, t: np.eye(2) @ x + np.zeros((2, 1)) @ v,
+        n=2, m=1, p=2)
+    ref = simulate(shell, [1.0, -0.5], times, u=[0.3], max_step=0.01)
+    assert np.array_equal(traj.states, ref.states)
+    assert np.array_equal(traj.outputs, ref.outputs)
+
+
+def test_fundamental_matrix_evaluates_coefficients_once_per_stage_time():
+    A_of_t, phi_exact = commutator_fixture()
+    A = counted(A_of_t)
+    stm = fundamental_matrix_ltv(ltv_model(A, n=2), 0.0, 4.0, max_step=0.01)
+    steps = max(2, int(np.ceil(4.0 / 0.01)))
+    assert A.calls <= 2 * steps + 1
+    np.testing.assert_allclose(stm(4.0, 0.0), phi_exact(4.0, 0.0), atol=1e-8)
