@@ -435,7 +435,10 @@ def _h_structural(doc, tol, seed):
     model = _extract_model(doc)
     horizon = None
     if doc.get("horizon") is not None:
-        pair = _vector(doc["horizon"], "/horizon", length=2)
+        pair = doc["horizon"]
+        if isinstance(pair, list) and len(pair) == 2 and pair[1] is None:
+            pair = [pair[0], np.inf]  # a null end is the infinite horizon
+        pair = _vector(pair, "/horizon", length=2)
         if pair[1] <= pair[0]:
             _fail("horizon must satisfy t0 < tf", "/horizon")
         horizon = (float(pair[0]), float(pair[1]))

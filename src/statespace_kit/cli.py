@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 domain error (serialized into report.json),
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -44,7 +45,10 @@ def _configure_threads() -> None:
         os.environ.setdefault(var, cap)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built once per process; parse_args leaves it unchanged, and the
+    # append action copies the --tol default list before adding to it
     parser = argparse.ArgumentParser(
         prog="statespace-kit",
         description="Linear-systems analysis and control synthesis, batch mode.",
@@ -61,6 +65,58 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="seed echoed into the report; no command "
                              "reads it")
     return parser
+
+
+class _Constant:
+    """Stand-in for a NaN or Infinity literal while locating it."""
+
+    def __init__(self, name: str):
+        self.name = name
+
+
+def _reject_constant(name: str):
+    raise SchemaError(f"non-finite number {name} is not allowed")
+
+
+# json.loads(text) with the same settings, plus the non-finite hook
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
+def _load_document(text: str):
+    """Parse an input document, refusing NaN, Infinity and -Infinity.
+
+    Valid documents are parsed once. A refused one is parsed a second time
+    with stand-ins, to give the SchemaError the JSON pointer of the first
+    non-finite constant.
+    """
+    try:
+        return _DECODER.decode(text)
+    except SchemaError:
+        found = _first_constant(json.loads(text, parse_constant=_Constant))
+        if found is None:  # a duplicate key dropped it from the document
+            raise
+    path, constant = found
+    raise SchemaError(f"non-finite number {constant.name} is not allowed",
+                      location=path or "/")
+
+
+def _first_constant(doc):
+    """(JSON pointer, stand-in) of the first _Constant in document order."""
+    stack = [("", doc)]
+    while stack:
+        path, value = stack.pop()
+        if isinstance(value, _Constant):
+            return path, value
+        if isinstance(value, dict):
+            items = value.items()
+        elif isinstance(value, list):
+            items = enumerate(value)
+        else:
+            continue
+        stack.extend(reversed([
+            (f"{path}/{str(key).replace('~', '~0').replace('/', '~1')}", item)
+            for key, item in items]))
+    return None
 
 
 def _parse_tolerances(pairs, command: str,
@@ -102,8 +158,7 @@ def _write_outputs(outdir: str, report: dict, files: Dict[str, str]) -> None:
 
 def main(argv=None) -> int:
     _configure_threads()
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
 
     from . import _cliops
 
@@ -119,9 +174,12 @@ def main(argv=None) -> int:
         print(f"error: cannot read input: {exc}", file=sys.stderr)
         return 2
     try:
-        doc = json.loads(raw.decode("utf-8"))
+        doc = _load_document(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: input is not valid JSON: {exc}", file=sys.stderr)
+        return 2
+    except SchemaError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
     report = {

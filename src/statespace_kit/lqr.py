@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -70,13 +72,16 @@ class RiccatiSolution:
     closed_loop_poles: np.ndarray | None
     warnings: tuple = ()
 
+    @cached_property
+    def _knots(self) -> list:
+        return self.times.tolist()
+
     def P_at(self, t: float) -> np.ndarray:
         if self.kind == "infinite":
             return self.P_bar
-        ts = self.times
-        t = float(np.clip(t, ts[0], ts[-1]))
-        i = int(np.searchsorted(ts, t, side="right") - 1)
-        i = min(max(i, 0), ts.size - 2)
+        ts = self._knots
+        t = min(max(float(t), ts[0]), ts[-1])
+        i = min(max(bisect.bisect_right(ts, t) - 1, 0), len(ts) - 2)
         w = (t - ts[i]) / (ts[i + 1] - ts[i])
         return (1.0 - w) * self.P_grid[i] + w * self.P_grid[i + 1]
 

@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-from scipy.special import erfinv
 
 from . import numkit
 from .errors import RepeatedEigenvalues, SingularLyapunovOperator
@@ -98,6 +96,10 @@ def solve_lyapunov(A, Q) -> np.ndarray:
         raise SingularLyapunovOperator(
             f"eigenvalue pair sums to zero: {lam[i]:.6g}, {lam[j]:.6g}"
         )
+    # scipy loads here, not with the package: importing it is most of a
+    # cold CLI start, and most commands never call it
+    import scipy.linalg
+
     P = scipy.linalg.solve_continuous_lyapunov(A.T, -Q)
     return 0.5 * (P + P.T)
 
@@ -211,6 +213,8 @@ def quadratic_lyapunov_scan(
     transformed remaining coordinates). Certification requires the decay
     rate 2 x'P f(x) to clear -margin * |x|^2 at every sample.
     """
+    from scipy.special import erfinv  # deferred: see solve_lyapunov
+
     P = numkit.require_square(P)
     n = P.shape[0]
     if numkit.is_positive_definite(P).verdict != "PD":

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import numkit
 from .errors import (
@@ -383,6 +382,8 @@ def transmission_zeros(sys: StateSpace, tol: float = 1e-8) -> ZeroSet:
     M = np.block([[sys.A, sys.B], [-sys.C, -sys.D]])
     N = np.zeros_like(M)
     N[:n, :n] = np.eye(n)
+    import scipy.linalg  # deferred: see stability.solve_lyapunov
+
     w = scipy.linalg.eig(M, N, right=False, homogeneous_eigvals=True)
     alpha = np.asarray(w[0]).reshape(-1)
     beta = np.asarray(w[1]).reshape(-1)

@@ -1,6 +1,7 @@
 """End-to-end batch tool tests driven through subprocesses: exit codes,
 report layout, output files, and byte-level determinism."""
 
+import ast
 import json
 import os
 import subprocess
@@ -255,6 +256,24 @@ def test_stability_reports_lyapunov_beyond_thirty_states(tmp_path):
     assert np.linalg.norm(A.T @ P + P @ A + np.eye(n)) <= 1e-10 * np.sqrt(n)
 
 
+def test_structural_null_horizon_end_is_infinite(tmp_path):
+    from statespace_kit import structural
+    from statespace_kit.model import state_space
+
+    A, B = [[0.0, 1.0], [-2.0, -3.0]], [[0.0], [1.0]]
+    inp = write_json(tmp_path / "in.json",
+                     {"model": {"type": "lti", "A": A, "B": B},
+                      "horizon": [0.0, None]})
+    out = tmp_path / "out"
+    proc = run_cli("structural", "--input", inp, "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    rep = structural.controllability_grammian(
+        state_space(np.array(A), np.array(B)), 0.0, np.inf)
+    assert read_report(out)["results"]["ctrbGrammian"] == {
+        "conditioning": rep.conditioning, "maxEig": rep.max_eig,
+        "minEig": rep.min_eig}
+
+
 def test_structural_nonlinear_builtin_rejected(tmp_path):
     inp = write_json(tmp_path / "in.json",
                      {"model": {"type": "nonlinear-builtin",
@@ -363,6 +382,43 @@ def test_unknown_builtin_name_pointer(tmp_path):
     assert "/model/name" in proc.stderr
 
 
+@pytest.mark.parametrize("literal,pointer", [
+    ("NaN", "/model/A/0/0"),
+    ("Infinity", "/model/B/1/0"),
+    ("-Infinity", "/poles/1"),
+])
+def test_non_finite_constant_exits_2_with_pointer(tmp_path, literal, pointer):
+    text = {
+        "/model/A/0/0": '{"model": {"type": "lti", "A": [[%s, 1.0], [0.0, 0.0]],'
+                        ' "B": [[0.0], [1.0]]}, "poles": [-1.0, -2.0]}',
+        "/model/B/1/0": '{"model": {"type": "lti", "A": [[0.0, 1.0], [0.0, 0.0]],'
+                        ' "B": [[0.0], [%s]]}, "poles": [-1.0, -2.0]}',
+        "/poles/1": '{"model": {"type": "lti", "A": [[0.0, 1.0], [0.0, 0.0]],'
+                    ' "B": [[0.0], [1.0]]}, "poles": [-1.0, %s]}',
+    }[pointer] % literal
+    inp = tmp_path / "in.json"
+    inp.write_text(text)
+    out = tmp_path / "out"
+    proc = run_cli("place", "--input", str(inp), "--out", str(out))
+    assert proc.returncode == 2
+    assert f"{pointer}: non-finite number {literal}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+def test_non_finite_pointer_escapes_keys():
+    from statespace_kit import cli
+    from statespace_kit.errors import SchemaError
+
+    with pytest.raises(SchemaError) as info:
+        cli._load_document('{"a": 1, "b/c~": {"d": [0, NaN]}}')
+    assert info.value.location == "/b~1c~0/d/1"
+    # a later duplicate key drops the constant from the parsed document
+    with pytest.raises(SchemaError) as info:
+        cli._load_document('{"a": NaN, "a": 1.0}')
+    assert info.value.location == "/"
+
+
 # ---------------------------------------------------------------------------
 # determinism and environment handling
 
@@ -383,6 +439,23 @@ def test_repeat_runs_are_byte_identical(tmp_path):
     assert second.returncode == 0, second.stderr
     for name, blob in snapshot.items():
         assert (out / name).read_bytes() == blob, name
+
+
+def test_parser_defaults_do_not_leak_between_calls(tmp_path):
+    # one process, one parser: the second run must not see the first --tol
+    from statespace_kit import cli
+
+    inp = write_json(tmp_path / "in.json",
+                     {"model": {"type": "lti",
+                                "A": [[0.0, 1.0], [-2.0, -3.0]]}})
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert cli.main(["stability", "--input", inp, "--out", str(first),
+                     "--tol", "axis_tol=1e-6"]) == 0
+    assert cli.main(["stability", "--input", inp, "--out", str(second)]) == 0
+    assert cli._parser() is cli._parser()
+    assert (read_report(first)["config"]["toleranceOverrides"]
+            == {"axis_tol": 1e-6})
+    assert read_report(second)["config"]["toleranceOverrides"] == {}
 
 
 def test_report_json_is_canonical(tmp_path):
@@ -419,3 +492,117 @@ def test_cli_module_imports_without_numpy():
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def _scipy_loaded(code):
+    """Run code in a fresh interpreter; it prints a JSON value."""
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_handler_import_loads_no_scipy():
+    code = (
+        "import json, sys\n"
+        "import statespace_kit._cliops\n"
+        "print(json.dumps(sorted(m for m in sys.modules"
+        " if m.split('.')[0] == 'scipy')))\n"
+    )
+    assert _scipy_loaded(code) == []
+
+
+def test_only_stability_and_structural_reach_scipy(tmp_path):
+    ss = {"type": "lti", "A": [[0.0, 1.0], [-2.0, -3.0]],
+          "B": [[0.0], [1.0]], "C": [[1.0, 0.0]]}
+    finite_lqr = dict(lqr_doc(), t1=1.0, M=[[1.0, 0.0], [0.0, 1.0]])
+    docs = [
+        ("simulate", {"model": ss, "x0": [1.0, 0.0], "t1": 1.0,
+                      "samples": 11}),
+        ("place", {"model": ss, "poles": [-4.0, -5.0]}),
+        ("observer", {"model": ss, "observer_poles": [-6.0, -7.0]}),
+        ("integral", {"model": ss, "poles": [-2.0, -3.0, -4.0]}),
+        ("realize", {"transfer": {"num": [1.0], "den": [1.0, 3.0, 2.0]},
+                     "form": "ccf"}),
+        ("diophantine", {"plant": {"num": [1.0], "den": [1.0, 0.0, -1.0]},
+                         "alpha_c": [1.0, 2.0, 2.0],
+                         "alpha_o": [1.0, 11.0, 30.0]}),
+        ("lqr", lqr_doc()),
+        ("lqr", finite_lqr),
+        ("srl", {"model": ss, "r_range": {"count": 5}}),
+        ("margins", {"model": ss, "Q": [[1.0, 0.0], [0.0, 0.0]],
+                     "R": [[1.0]], "omega": {"count": 20}}),
+        ("steer", {"model": ss, "x0": [0.0, 0.0], "xf": [1.0, 0.0],
+                   "t0": 0.0, "tf": 1.0, "samples": 11}),
+        ("tpbvp", {"kind": "bilinear", "x0": 0.5, "t1": 2.0}),
+        ("mintime", {"x0": [1.0, 0.0]}),
+        ("analyze", {"model": ss}),
+    ]
+    runs = []
+    for i, (command, doc) in enumerate(docs):
+        runs.append([command, write_json(tmp_path / f"{i}.json", doc),
+                     str(tmp_path / f"out{i}")])
+    stable = write_json(tmp_path / "stable.json", {"model": ss})
+    code = (
+        "import json, sys\n"
+        "from statespace_kit import cli\n"
+        "def scipy():\n"
+        "    return sorted(m for m in sys.modules"
+        " if m.split('.')[0] == 'scipy')\n"
+        f"runs = {runs!r}\n"
+        "codes = [cli.main([c, '--input', i, '--out', o]) for c, i, o in runs]\n"
+        "before = scipy()\n"
+        f"rc = cli.main(['stability', '--input', {stable!r},"
+        f" '--out', {str(tmp_path / 'stab')!r}])\n"
+        "print(json.dumps([codes, before, rc, 'scipy.linalg' in sys.modules]))\n"
+    )
+    codes, before, rc, linalg_loaded = _scipy_loaded(code)
+    assert codes == [0] * len(docs)
+    assert rc == 0 and linalg_loaded
+    assert "lyapunovP" in read_report(tmp_path / "stab")["results"]
+    assert before == []
+
+
+def _module_level_imports(tree):
+    """Import nodes that run when the module loads (not inside a def)."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                   ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _names(node):
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    base = node.module or ""
+    return [base] + [f"{base}.{alias.name}" for alias in node.names]
+
+
+def test_no_module_level_scipy_and_no_scipy_signal():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src",
+                       "statespace_kit")
+    paths = sorted(os.path.join(src, f) for f in os.listdir(src)
+                   if f.endswith(".py"))
+    assert paths
+    eager, signal = [], []
+    for path in paths:
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        for node in _module_level_imports(tree):
+            if any(n.split(".")[0] == "scipy" for n in _names(node)):
+                eager.append(f"{os.path.basename(path)}:{node.lineno}")
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                hit = any(n.startswith("scipy.signal") for n in _names(node))
+            else:
+                hit = (isinstance(node, ast.Attribute) and node.attr == "signal"
+                       and isinstance(node.value, ast.Name)
+                       and node.value.id == "scipy")
+            if hit:
+                signal.append(f"{os.path.basename(path)}:{node.lineno}")
+    assert eager == [], "module-level scipy import"
+    assert signal == [], "scipy.signal is never used"

@@ -1,6 +1,8 @@
 """Quadratic regulator tests: stationary equation, finite-horizon flows,
 loop-gain identity, root-locus cross-checks, value function."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -172,6 +174,34 @@ def test_rde_gain_uses_current_matrix():
                     steps=2000)
     K0 = sol.K_at(0.0)
     np.testing.assert_allclose(K0, sol.P_at(0.0), atol=1e-12)  # B = R = 1
+
+
+def _searchsorted_P_at(sol, t):
+    # the interpolation P_at computed with np.clip and np.searchsorted
+    ts = sol.times
+    t = float(np.clip(t, ts[0], ts[-1]))
+    i = int(np.searchsorted(ts, t, side="right") - 1)
+    i = min(max(i, 0), ts.size - 2)
+    w = (t - ts[i]) / (ts[i + 1] - ts[i])
+    return (1.0 - w) * sol.P_grid[i] + w * sol.P_grid[i + 1]
+
+
+def test_rde_interpolation_matches_searchsorted_bitwise():
+    sys = state_space(np.array([[0.0, 1.0], [0.0, -1.0]]),
+                      np.array([[0.0], [1.0]]))
+    prob = LqrProblem(sys, Q=np.diag([1.0, 0.0]), R=np.array([[1.0]]),
+                      M=np.eye(2), t0=0.5, t1=2.0)
+    sweep = solve_rde(prob, steps=30)
+    two_point = dataclasses.replace(sweep, times=sweep.times[[0, -1]],
+                                    P_grid=sweep.P_grid[[0, -1]])
+    for sol in (sweep, two_point):
+        ts = sol.times
+        mids = 0.5 * (ts[:-1] + ts[1:])
+        inside = rng(5).uniform(ts[0], ts[-1], size=40)
+        outside = [ts[0] - 1.0, np.nextafter(ts[0], -np.inf), -1e300,
+                   np.nextafter(ts[-1], np.inf), ts[-1] + 3.0, 1e300]
+        for t in [*ts, *mids, *inside, *outside]:
+            assert np.array_equal(sol.P_at(t), _searchsorted_P_at(sol, t)), t
 
 
 def test_hamiltonian_route_matches_terminal_weight():
