@@ -11,12 +11,14 @@ loads.
 from __future__ import annotations
 
 import bisect
+import math
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from . import lqr as lqrmod
 from . import minprin, realization, registry, response, stability, structural, synthesis
+from .cli import COMMANDS
 from .errors import (
     DegeneratePencil,
     NonSquarePlant,
@@ -47,7 +49,13 @@ def _require(doc: dict, key: str, loc: str):
 def _number(value, loc: str) -> float:
     if isinstance(value, bool) or not isinstance(value, _NUMBER):
         _fail("number expected", loc)
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal past the double range
+        number = math.inf
+    if not math.isfinite(number):  # or a float literal such as 1e999
+        _fail("number outside the finite double range", loc)
+    return number
 
 
 def _optional_number(doc: dict, key: str, loc: str, default=None):
@@ -100,7 +108,7 @@ def _matrix(value, loc: str, rows: Optional[int] = None,
 def _scalar_or_pair(value, loc: str) -> complex:
     """Accept a real number, an [re, im] pair, or {"re": .., "im": ..}."""
     if isinstance(value, _NUMBER) and not isinstance(value, bool):
-        return complex(float(value), 0.0)
+        return complex(_number(value, loc), 0.0)
     if isinstance(value, list):
         if len(value) != 2:
             _fail("expected [re, im]", loc)
@@ -437,11 +445,13 @@ def _h_structural(doc, tol, seed):
     if doc.get("horizon") is not None:
         pair = doc["horizon"]
         if isinstance(pair, list) and len(pair) == 2 and pair[1] is None:
-            pair = [pair[0], np.inf]  # a null end is the infinite horizon
-        pair = _vector(pair, "/horizon", length=2)
-        if pair[1] <= pair[0]:
-            _fail("horizon must satisfy t0 < tf", "/horizon")
-        horizon = (float(pair[0]), float(pair[1]))
+            # a null end is the infinite horizon
+            horizon = (_number(pair[0], "/horizon/0"), np.inf)
+        else:
+            pair = _vector(pair, "/horizon", length=2)
+            if pair[1] <= pair[0]:
+                _fail("horizon must satisfy t0 < tf", "/horizon")
+            horizon = (float(pair[0]), float(pair[1]))
     warnings: List[str] = []
     results: Dict[str, object] = {}
     if isinstance(model, StateSpace):
@@ -879,39 +889,4 @@ def _h_mintime(doc, tol, seed):
     return results, files, []
 
 
-HANDLERS = {
-    "analyze": _h_analyze,
-    "diophantine": _h_diophantine,
-    "integral": _h_integral,
-    "lqr": _h_lqr,
-    "margins": _h_margins,
-    "mintime": _h_mintime,
-    "observer": _h_observer,
-    "place": _h_place,
-    "realize": _h_realize,
-    "simulate": _h_simulate,
-    "srl": _h_srl,
-    "stability": _h_stability,
-    "steer": _h_steer,
-    "structural": _h_structural,
-    "tpbvp": _h_tpbvp,
-}
-
-# tolerance override names each command honors
-TOLERANCE_NAMES = {
-    "analyze": ("mode_tol",),
-    "diophantine": (),
-    "integral": (),
-    "lqr": (),
-    "margins": (),
-    "mintime": (),
-    "observer": ("verify_tol",),
-    "place": ("verify_tol",),
-    "realize": ("rank_rtol",),
-    "simulate": (),
-    "srl": (),
-    "stability": ("axis_tol",),
-    "steer": (),
-    "structural": ("rank_tol", "zero_tol"),
-    "tpbvp": (),
-}
+HANDLERS = {name: globals()["_h_" + name] for name in COMMANDS}

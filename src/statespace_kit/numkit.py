@@ -155,24 +155,18 @@ def eigen(A, tol: float | None = None) -> EigenStructure:
     )
 
 
-def singular_value_rank(s, shape, tol: float | None = None) -> int:
-    """Numerical rank from the descending singular values of a shape matrix.
+def rank(A, tol: float | None = None) -> int:
+    """Numerical rank by singular values.
 
     Default cutoff is n * eps * sigma_max with n the larger dimension.
     """
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    if tol is None:
-        tol = max(shape) * _EPS * float(s[0])
-    return int(np.count_nonzero(s > tol))
-
-
-def rank(A, tol: float | None = None) -> int:
-    """Numerical rank by singular values; cutoff as in singular_value_rank."""
     M = np.atleast_2d(np.asarray(A))
     if M.size == 0:
         return 0
-    return singular_value_rank(np.linalg.svd(M, compute_uv=False), M.shape, tol)
+    s = np.linalg.svd(M, compute_uv=False)
+    if tol is None:
+        tol = max(M.shape) * _EPS * float(s[0])
+    return int(np.count_nonzero(s > tol))
 
 
 # ---------------------------------------------------------------------------

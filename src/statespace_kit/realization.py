@@ -427,18 +427,17 @@ class MinimalityReport:
 
 
 def minimality(sys: StateSpace) -> MinimalityReport:
-    """Rank tests of the reachability and observability stacks.
+    """Staircase ranks of the reachable and observable parts.
 
-    The minimal degree equals the rank of the observability stack applied
-    to the reachability stack (the product of the two block matrices).
+    The minimal degree is the observable dimension of the controllable
+    part, the leading block of the controllability staircase.
     """
-    from .structural import controllability_matrix, observability_matrix
+    from .structural import staircase
 
-    Ct = controllability_matrix(sys.A, sys.B)
-    Ob = observability_matrix(sys.A, sys.C)
-    rc = numkit.rank(Ct) if Ct.size else 0
-    ro = numkit.rank(Ob) if Ob.size else 0
-    md = numkit.rank(Ob @ Ct) if Ct.size and Ob.size else 0
+    ctrb = staircase(sys.A, sys.B)
+    rc, ro = ctrb.rank, staircase(sys.A.T, sys.C.T).rank
+    lead = ctrb.A_bar[:rc, :rc]
+    md = staircase(lead.T, (sys.C @ ctrb.Z[:, :rc]).T).rank
     return MinimalityReport(
         is_minimal=(rc == sys.n and ro == sys.n),
         controllability_rank=rc,

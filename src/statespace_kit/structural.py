@@ -9,6 +9,7 @@ import numpy as np
 from . import numkit
 from .errors import (
     DegeneratePencil,
+    IllConditioned,
     NonSquarePlant,
     RepeatedEigenvalues,
     SingularGrammian,
@@ -42,29 +43,56 @@ def observability_matrix(A, C) -> np.ndarray:
     return np.vstack(blocks)
 
 
-def _range_basis(M, tol=None):
-    """Range basis and the rank at tol, from one SVD.
+@dataclass(frozen=True)
+class Staircase:
+    """Orthogonal controllability staircase of a pair (A, B).
 
-    The basis is cut at the default rank cutoff whatever tol is.
+    Z is orthogonal and A_bar = Z' A Z. The leading rank columns of Z span
+    the controllable subspace; blocks are the sizes of the staircase steps,
+    and their running sums are the ranks of [B, AB, ..., A^(k-1) B]. The
+    trailing (n - rank) block of A_bar carries the uncontrollable modes.
     """
-    if M.size == 0:
-        return np.zeros((M.shape[0], 0)), 0
-    U, s, _ = np.linalg.svd(M, full_matrices=False)
-    basis = U[:, :numkit.singular_value_rank(s, M.shape)]
-    return basis, numkit.singular_value_rank(s, M.shape, tol)
+
+    rank: int
+    Z: np.ndarray
+    blocks: tuple
+    A_bar: np.ndarray
 
 
-def _null_basis(M, tol=None):
-    """Null-space basis and the rank at tol, from one SVD.
+def staircase(A, B, tol: float = None) -> Staircase:
+    """Controllability staircase (Van Dooren 1981; Paige 1981).
 
-    The basis is cut at the default rank cutoff whatever tol is.
+    Each step compresses the current input block with one SVD, rotates the
+    remaining coordinates by its left factor and recurses on the block
+    below the step. A singular value counts when it exceeds tol; by default
+    1e-10 ||B||_1 on the first step and 1e-10 ||A||_1 after it, so the
+    verdict does not change when A or B is scaled or rotated.
     """
-    if M.size == 0:
-        return (np.eye(M.shape[1]) if M.shape[1] else np.zeros((0, 0))), 0
-    # the full right factor is needed only when M has fewer rows than columns
-    _, s, Vh = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
-    basis = Vh[numkit.singular_value_rank(s, M.shape):, :].T.conj()
-    return basis, numkit.singular_value_rank(s, M.shape, tol)
+    A = numkit.require_square(A).astype(float)
+    B = numkit.as_matrix(B)
+    n = A.shape[0]
+    Z = np.eye(n)
+    blocks = []
+    r = 0
+    step = B
+    if tol is None:
+        cut = 1e-10 * float(np.abs(B).sum(axis=0).max(initial=0.0))
+        later = 1e-10 * float(np.abs(A).sum(axis=0).max(initial=0.0))
+    else:
+        cut = later = tol
+    while r < n and step.size:
+        U, s, _ = np.linalg.svd(step)
+        k = int(np.count_nonzero(s > cut))
+        if k == 0:
+            break
+        Z[:, r:] = Z[:, r:] @ U
+        A[r:, :] = U.T @ A[r:, :]
+        A[:, r:] = A[:, r:] @ U
+        blocks.append(k)
+        step = A[r + k:, r:r + k]
+        r += k
+        cut = later
+    return Staircase(rank=r, Z=Z, blocks=tuple(blocks), A_bar=A)
 
 
 @dataclass(frozen=True)
@@ -82,43 +110,39 @@ class StructuralReport:
 
 
 def structural_analysis(sys: StateSpace, tol: float = None) -> StructuralReport:
-    """Rank tests plus a per-eigenvalue pencil classification of the modes.
+    """Ranks, subspaces and hidden modes from the staircases of (A, B) and (A', C').
 
-    A mode fails controllability when [lambda I - A | B] drops rank, and
-    dually for observability; the verdict flags require every failed mode
-    to sit strictly in the left half plane.
+    The uncontrollable modes are the eigenvalues of the trailing block of
+    the controllability staircase, and dually for observability; the
+    verdict flags require every such mode to sit strictly in the left half
+    plane. tol is the staircase cutoff (see staircase).
     """
     A, B, C = sys.A, sys.B, sys.C
-    n = sys.n
-    Ct = controllability_matrix(A, B)
-    Ob = observability_matrix(A, C)
-    ctrb_basis, rc = _range_basis(Ct, tol)
-    unobs_basis, ro = _null_basis(Ob, tol)
-    eig = numkit.eigen(A)
-    unc = []
-    unob = []
-    for lam in eig.distinct_values:
-        pc = np.hstack([lam * np.eye(n) - A, B]) if sys.m else lam * np.eye(n) - A
-        po = np.vstack([lam * np.eye(n) - A, C]) if sys.p else lam * np.eye(n) - A
-        if numkit.rank(pc, tol) < n:
-            unc.append(complex(lam))
-        if numkit.rank(po, tol) < n:
-            unob.append(complex(lam))
-    band = 1e-9 * (1.0 + float(np.max(np.abs(eig.values), initial=0.0)))
+    ctrb = staircase(A, B, tol)
+    obsv = staircase(A.T, C.T, tol)
+    unc = _hidden_modes(ctrb)
+    unob = _hidden_modes(obsv)
+    rho = float(np.max(np.abs(numkit.eigen(A).values))) if unc or unob else 0.0
+    band = 1e-9 * (1.0 + rho)
     stabilizable = all(z.real < -band for z in unc)
     detectable = all(z.real < -band for z in unob)
     return StructuralReport(
-        ctrb_matrix=Ct,
-        obsv_matrix=Ob,
-        ctrb_rank=rc,
-        obsv_rank=ro,
-        uncontrollable_modes=tuple(unc),
-        unobservable_modes=tuple(unob),
+        ctrb_matrix=controllability_matrix(A, B),
+        obsv_matrix=observability_matrix(A, C),
+        ctrb_rank=ctrb.rank,
+        obsv_rank=obsv.rank,
+        uncontrollable_modes=unc,
+        unobservable_modes=unob,
         stabilizable=stabilizable,
         detectable=detectable,
-        controllable_subspace_basis=ctrb_basis,
-        unobservable_subspace_basis=unobs_basis,
+        controllable_subspace_basis=ctrb.Z[:, :ctrb.rank],
+        unobservable_subspace_basis=obsv.Z[:, obsv.rank:],
     )
+
+
+def _hidden_modes(stair: Staircase) -> tuple:
+    tail = stair.A_bar[stair.rank:, stair.rank:]
+    return tuple(complex(z) for z in numkit.eigen(tail).distinct_values) if tail.size else ()
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +346,8 @@ def _pivoted_completion(columns, n, tol=1e-9):
 def kalman_decompose(sys: StateSpace, kind: str = "KCCF") -> KalmanDecomposition:
     """Block-triangular form separating the reachable (or observable) part.
 
-    The inverse transform stacks independent reachability columns first and
+    The reachable dimension comes from the staircase. The inverse transform
+    stacks independent reachability columns first and
     completes them with standard basis directions; the dual form reuses the
     same construction on the transposed data.
     """
@@ -342,17 +367,18 @@ def kalman_decompose(sys: StateSpace, kind: str = "KCCF") -> KalmanDecomposition
     if kind != "KCCF":
         raise ValueError("kind must be KCCF or KOCF")
     n = sys.n
-    Ct = controllability_matrix(sys.A, sys.B)
-    r = numkit.rank(Ct) if Ct.size else 0
+    r = staircase(sys.A, sys.B).rank
     if r == n:
         return KalmanDecomposition(
             kind="KCCF", transform=np.eye(n), A_bar=sys.A.copy(),
             B_bar=sys.B.copy(), C_bar=sys.C.copy(), n1=n,
         )
-    cols = [Ct[:, j] for j in range(Ct.shape[1])]
-    Pinv, picked = _pivoted_completion(cols, n)
+    Ct = controllability_matrix(sys.A, sys.B)
+    Pinv, picked = _pivoted_completion(Ct.T, n)
     if picked != r:
-        raise RuntimeError("internal error: completion picked a wrong rank")
+        raise IllConditioned(
+            f"the reachability columns give {picked} independent directions "
+            f"where the staircase finds {r}")
     P = np.linalg.solve(Pinv, np.eye(n))
     return KalmanDecomposition(
         kind="KCCF",
@@ -466,18 +492,13 @@ class DiscreteReachabilityReport:
 
 
 def discrete_reachability(A, B, steps: int) -> DiscreteReachabilityReport:
-    """Rank growth of [B AB ... A^(k-1)B] for k = 1..steps."""
-    A = numkit.require_square(A)
-    B = numkit.as_matrix(B)
+    """Rank growth of [B AB ... A^(k-1)B] for k = 1..steps.
+
+    The ranks are the running sums of the staircase block sizes.
+    """
     if steps < 1:
         raise ValueError("need at least one step")
-    n = A.shape[0]
-    ranks = []
-    block = B
-    stack = None
-    for _ in range(steps):
-        stack = block if stack is None else np.hstack([stack, block])
-        ranks.append(numkit.rank(stack) if stack.size else 0)
-        block = A @ block
-    return DiscreteReachabilityReport(ranks=tuple(ranks),
-                                      reachable=(ranks[-1] == n))
+    stair = staircase(A, B)
+    ranks = tuple(sum(stair.blocks[:k]) for k in range(1, steps + 1))
+    return DiscreteReachabilityReport(ranks=ranks,
+                                      reachable=(ranks[-1] == stair.Z.shape[0]))

@@ -21,11 +21,7 @@ from .errors import (
 )
 from .model import StateSpace
 from .realization import RationalFunction, TransferMatrix, ss_to_tf
-from .structural import (
-    _pivoted_completion,
-    controllability_matrix,
-    observability_matrix,
-)
+from .structural import _pivoted_completion, controllability_matrix, staircase
 
 
 @dataclass(frozen=True)
@@ -105,7 +101,7 @@ def place_poles(sys: StateSpace, desired_poles, verify_tol: float = 1e-6) -> Gai
     desired = _check_conjugate_closed(desired_poles)
     if desired.size != n:
         raise ValueError(f"need exactly {n} poles, got {desired.size}")
-    if sys.m == 0 or numkit.rank(controllability_matrix(sys.A, sys.B)) < n:
+    if staircase(sys.A, sys.B).rank < n:
         raise Uncontrollable("the input cannot move every mode")
     if sys.m == 1:
         K = _siso_place(sys.A, sys.B, desired)
@@ -113,7 +109,7 @@ def place_poles(sys: StateSpace, desired_poles, verify_tol: float = 1e-6) -> Gai
         K = None
         for w in _projection_candidates(sys.m):
             bw = sys.B @ w.reshape(-1, 1)
-            if numkit.rank(controllability_matrix(sys.A, bw)) < n:
+            if staircase(sys.A, bw).rank < n:
                 continue
             kp = _siso_place(sys.A, bw, desired)
             K = w.reshape(-1, 1) @ kp
@@ -134,7 +130,7 @@ def place_poles(sys: StateSpace, desired_poles, verify_tol: float = 1e-6) -> Gai
 def observer_gain(sys: StateSpace, desired_poles, verify_tol: float = 1e-6) -> GainSet:
     """Output-injection gain via placement on the transposed pair."""
     n = sys.n
-    if sys.p == 0 or numkit.rank(observability_matrix(sys.A, sys.C)) < n:
+    if staircase(sys.A.T, sys.C.T).rank < n:
         raise Unobservable("the output cannot see every mode")
     dual = StateSpace(sys.A.T, sys.C.T, np.zeros((1, n)), np.zeros((1, sys.p)))
     try:
@@ -199,11 +195,8 @@ def reduced_order_observer(sys: StateSpace, observer_poles) -> ReducedOrderObser
     in the original coordinates.
     """
     n, p, m = sys.n, sys.p, sys.m
-    if p == 0 or numkit.rank(sys.C) < p:
-        raise RankDeficientC("measurement matrix must have full row rank")
-    rows = [sys.C[i, :] for i in range(p)]
-    Tt, picked = _pivoted_completion(rows, n)
-    if picked != p:
+    Tt, picked = _pivoted_completion(sys.C, n)
+    if p == 0 or picked != p:
         raise RankDeficientC("measurement matrix must have full row rank")
     T = Tt.T  # rows: C first, then completion
     Tinv = np.linalg.solve(T, np.eye(n))
@@ -218,7 +211,7 @@ def reduced_order_observer(sys: StateSpace, observer_poles) -> ReducedOrderObser
                          np.zeros((n, 0)), np.hstack([Tinv, np.zeros((n, m))]))
         return ReducedOrderObserver(gain=np.zeros((0, p)), estimator=est,
                                     output_transform=T)
-    if numkit.rank(observability_matrix(A22, A12)) < q:
+    if staircase(A22.T, A12.T).rank < q:
         raise SubpairUnobservable(
             "the unmeasured block is not observable through the measured one"
         )

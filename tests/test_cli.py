@@ -297,6 +297,46 @@ def test_tolerance_override_recorded(tmp_path):
     assert report["results"]["verdict"] == "asymptoticallyStable"
 
 
+def test_rank_tol_is_an_absolute_staircase_cutoff(tmp_path):
+    from statespace_kit import cli, structural
+    from statespace_kit.model import state_space
+
+    A, B = [[-1.0, 0.0], [0.0, -2.0]], [[1.0], [1e-6]]
+    inp = write_json(tmp_path / "in.json",
+                     {"model": {"type": "lti", "A": A, "B": B}})
+    default, cut = tmp_path / "default", tmp_path / "cut"
+    assert cli.main(["structural", "--input", inp, "--out", str(default)]) == 0
+    assert cli.main(["structural", "--input", inp, "--out", str(cut),
+                     "--tol", "rank_tol=1e-3"]) == 0
+    assert read_report(default)["results"]["ctrbRank"] == 2
+    report = read_report(cut)
+    assert report["config"]["toleranceOverrides"] == {"rank_tol": 1e-3}
+    lib = structural.structural_analysis(
+        state_space(np.array(A), np.array(B)), tol=1e-3)
+    assert report["results"]["ctrbRank"] == lib.ctrb_rank == 1
+    assert not report["results"]["controllable"]
+    assert report["results"]["uncontrollableModes"] == [
+        {"im": z.imag, "re": z.real} for z in lib.uncontrollable_modes]
+
+
+def test_command_table_handlers_and_readme_agree():
+    from statespace_kit import _cliops, cli
+
+    assert {name: fn.__name__ for name, fn in _cliops.HANDLERS.items()} == {
+        name: "_h_" + name for name in cli.COMMANDS}
+    readme = open(os.path.join(os.path.dirname(__file__), os.pardir,
+                               "README.md")).read()
+    section = readme.split("### Tolerance overrides", 1)[1].split("###", 1)[0]
+    listed = {}
+    for line in section.splitlines():
+        if line.startswith("- `") and ": `" in line:
+            names, tols = line[2:].split(": ", 1)
+            for name in names.split(", "):
+                listed[name.strip("`")] = tuple(
+                    t.strip("`") for t in tols.split(", "))
+    assert listed == {name: tols for name, tols in cli.COMMANDS.items() if tols}
+
+
 # ---------------------------------------------------------------------------
 # failure modes
 
@@ -403,6 +443,39 @@ def test_non_finite_constant_exits_2_with_pointer(tmp_path, literal, pointer):
     assert proc.returncode == 2
     assert f"{pointer}: non-finite number {literal}" in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,text,pointer", [
+    ("place", '{"model": {"type": "lti", "A": [[1e999, 1.0], [0.0, 0.0]],'
+              ' "B": [[0.0], [1.0]]}, "poles": [-1.0, -2.0]}', "/model/A/0/0"),
+    ("place", '{"model": {"type": "lti", "A": [[0.0, 1.0], [0.0, 0.0]],'
+              ' "B": [[0.0], [1.0]]}, "poles": [-1.0, -1%s]}' % ("0" * 400),
+     "/poles/1"),
+    ("structural", '{"model": {"type": "lti", "A": [[0.0, 1.0], [-2.0, -3.0]],'
+                   ' "B": [[0.0], [1.0]]}, "horizon": [0, 1e999]}', "/horizon/1"),
+])
+def test_overflowing_literal_exits_2_with_pointer(tmp_path, capsys, command,
+                                                  text, pointer):
+    from statespace_kit import cli
+
+    inp = tmp_path / "in.json"
+    inp.write_text(text)
+    out = tmp_path / "out"
+    assert cli.main([command, "--input", str(inp), "--out", str(out)]) == 2
+    assert f"{pointer}: number outside the finite double range" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_integer_past_the_parser_limit_exits_2(tmp_path, capsys):
+    from statespace_kit import cli
+
+    inp = tmp_path / "in.json"
+    inp.write_text('{"model": {"type": "lti", "A": [[1%s]]}}' % ("0" * 5000))
+    out = tmp_path / "out"
+    assert cli.main(["analyze", "--input", str(inp), "--out", str(out)]) == 2
+    assert "not valid JSON" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -119,8 +119,8 @@ def test_are_residual_is_tiny():
 
 
 def test_are_work_counts_dense(linalg_calls):
-    # one SVD per Krylov matrix, two PBH rank tests per mode, and one
-    # eigendecomposition each of A and the coupled-flow matrix
+    # one SVD per staircase step: n / m for (A, B) and one for the full-rank
+    # cost factor; one eigendecomposition, of the coupled-flow matrix
     n, m = 30, 2
     gen = rng(71)
     A = gen.normal(size=(n, n)) / np.sqrt(n) - 0.5 * np.eye(n)
@@ -128,8 +128,8 @@ def test_are_work_counts_dense(linalg_calls):
     prob = LqrProblem(state_space(A, gen.normal(size=(n, m))),
                       Q=G @ G.T / n + 0.5 * np.eye(n), R=np.eye(m))
     solve_are(prob)
-    assert linalg_calls["svd"] <= 2 * n + 2
-    assert linalg_calls["eig"] <= 2
+    assert linalg_calls["svd"] <= n // m + 1
+    assert linalg_calls["eig"] <= 1
 
 
 def test_are_zero_weight_warns_and_returns_zero():

@@ -318,6 +318,15 @@ def test_hidden_mode_detected():
     assert rep.degree_deficit == 1
 
 
+def test_minimal_degree_counts_modes_both_reached_and_seen():
+    # mode -2 is reached but unseen, mode -3 seen but unreached
+    sys = siso_system(np.diag([-1.0, -2.0, -3.0]), [1.0, 1.0, 0.0],
+                      [1.0, 0.0, 1.0])
+    rep = minimality(sys)
+    assert (rep.controllability_rank, rep.observability_rank) == (2, 2)
+    assert rep.minimal_degree == 1
+
+
 def test_coprime_ccf_is_minimal():
     sys = ccf(rational([1.0, 4.0], np.poly([-1.0, -2.0, -3.0])))
     rep = minimality(sys)

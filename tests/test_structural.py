@@ -3,6 +3,7 @@ modal test, canonical decompositions, zeros, steering, discrete reachability."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     random_controllable_siso,
@@ -14,12 +15,15 @@ from conftest import (
 from statespace_kit import numkit
 from statespace_kit.errors import (
     DegeneratePencil,
+    IllConditioned,
     Overflow,
     RepeatedEigenvalues,
     SingularGrammian,
+    Uncontrollable,
+    Unobservable,
 )
 from statespace_kit.model import StateSpace, state_space
-from statespace_kit.realization import ccf, rational, ss_to_tf
+from statespace_kit.realization import ccf, minimality, rational, ss_to_tf
 from statespace_kit.registry import builtin_model
 from statespace_kit.structural import (
     controllability_grammian,
@@ -30,9 +34,11 @@ from statespace_kit.structural import (
     modal_controllability_test,
     observability_grammian,
     observability_matrix,
+    staircase,
     structural_analysis,
     transmission_zeros,
 )
+from statespace_kit.synthesis import observer_gain, place_poles
 
 
 def star_system():
@@ -148,6 +154,112 @@ def test_output_feedback_preserves_controllability_rank():
         before = numkit.rank(controllability_matrix(A, b))
         after = numkit.rank(controllability_matrix(A + b * F @ c, b))
         assert before == after == 4
+
+
+def gaussian_stable_pair(n):
+    # dense Gaussian A shifted to be stable, seed 0: the Krylov matrix
+    # [b, Ab, ...] is numerically rank deficient at n = 20 and 30
+    gen = rng(0)
+    A = gen.standard_normal((n, n)) / np.sqrt(n)
+    A -= (np.max(np.linalg.eigvals(A).real) + 0.5) * np.eye(n)
+    return siso_system(A, gen.standard_normal((n, 1)),
+                       gen.standard_normal((1, n)))
+
+
+@pytest.mark.parametrize("n", [20, 30])
+def test_ranks_hold_where_the_krylov_matrix_fails(n):
+    sys = gaussian_stable_pair(n)
+    rep = structural_analysis(sys)
+    assert (rep.ctrb_rank, rep.obsv_rank) == (n, n)
+    assert rep.uncontrollable_modes == rep.unobservable_modes == ()
+    assert minimality(sys).minimal_degree == n
+    assert discrete_reachability(sys.A, sys.B, n).ranks == tuple(range(1, n + 1))
+    poles = -np.arange(1.0, n + 1.0)
+    for design, refusal in ((place_poles, Uncontrollable),
+                            (observer_gain, Unobservable)):
+        try:
+            design(sys, poles)
+        except refusal:
+            pytest.fail(f"{design.__name__} refused a pair of full rank")
+        except IllConditioned:
+            pass  # companion-form placement itself may miss at this size
+
+
+def staircase_pair(gen, r, q, m):
+    """(A, B) whose controllable subspace is the first r coordinates.
+
+    The controllable part is a block staircase whose steps (the leading
+    block of B and each subdiagonal block of A) have singular values in
+    [0.5, 2]; the last q coordinates get neither input nor coupling.
+    """
+    n = r + q
+    A = gen.normal(size=(n, n))
+    B = np.zeros((n, m))
+    A[r:, :r] = 0.0
+    sizes = [int(gen.integers(1, min(m, r) + 1))]
+    while sum(sizes) < r:
+        sizes.append(int(gen.integers(1, min(sizes[-1], r - sum(sizes)) + 1)))
+    starts = np.cumsum([0] + sizes)
+
+    def step(rows, cols):
+        block = gen.normal(size=(rows, cols))
+        block[:, :rows] = np.diag(gen.uniform(0.5, 2.0, rows))
+        return block
+
+    B[:sizes[0]] = step(sizes[0], m)
+    for i in range(1, len(sizes)):
+        A[starts[i]:, starts[i - 1]:starts[i]] = 0.0
+        A[starts[i]:starts[i + 1], starts[i - 1]:starts[i]] = step(
+            sizes[i], sizes[i - 1])
+    return A, B
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), r=st.integers(1, 7),
+       q=st.integers(0, 4), m=st.integers(1, 3),
+       log_c=st.floats(-12.0, 12.0), log_d=st.floats(-12.0, 12.0),
+       transform=st.sampled_from(["none", "orthogonal", "similarity"]))
+def test_staircase_rank_survives_scaling_and_similarity(
+        seed, r, q, m, log_c, log_d, transform):
+    gen = rng(seed)
+    A, B = staircase_pair(gen, r, q, m)
+    n = r + q
+    T = np.eye(n)
+    if transform != "none":
+        T, _ = np.linalg.qr(gen.normal(size=(n, n)))
+    if transform == "similarity":  # condition number at most 10
+        U, _ = np.linalg.qr(gen.normal(size=(n, n)))
+        T = T @ np.diag(np.geomspace(1.0, 10.0, n)) @ U
+    A = 10.0 ** log_c * (T @ A @ np.linalg.inv(T))
+    B = 10.0 ** log_d * (T @ B)
+    assert staircase(A, B).rank == r
+    assert structural_analysis(state_space(A, B)).ctrb_rank == r
+    dual = StateSpace(A.T, np.zeros((n, 0)), B.T, np.zeros((m, 0)))
+    assert structural_analysis(dual).obsv_rank == r
+    assert discrete_reachability(A, B, n).ranks[-1] == r
+
+
+def test_staircase_form_and_subspaces():
+    sys = star_system()
+    stair = staircase(sys.A, sys.B)
+    assert (stair.rank, stair.blocks) == (2, (1, 1))
+    np.testing.assert_allclose(stair.Z.T @ stair.Z, np.eye(3), atol=1e-12)
+    np.testing.assert_allclose(stair.A_bar, stair.Z.T @ sys.A @ stair.Z,
+                               atol=1e-12)
+    np.testing.assert_allclose(stair.A_bar[2:, :2], 0.0, atol=1e-12)
+    rep = structural_analysis(sys)
+    assert subspace_angle(rep.controllable_subspace_basis,
+                          np.eye(3)[:, :2]) <= 1e-9
+    assert subspace_angle(rep.unobservable_subspace_basis,
+                          np.array([[0.0], [1.0], [0.0]])) <= 1e-9
+
+
+def test_explicit_tolerance_is_absolute():
+    # a weakly coupled second mode: controllable at the default cutoff,
+    # not at an absolute cutoff above the coupling
+    A, B = np.diag([-1.0, -2.0]), np.array([[1.0], [1e-6]])
+    assert staircase(A, B).rank == 2
+    assert staircase(A, B, tol=1e-3).rank == 1
 
 
 # ---------------------------------------------------------------------------
