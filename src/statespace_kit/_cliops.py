@@ -6,26 +6,33 @@ one handler per subcommand. Handlers return (results, files, warnings)
 where files maps output names to ready-to-write text. The front end in
 cli.py stays import-light so thread caps land before the numeric stack
 loads.
+
+At load time this module imports only the standard library, numpy, cli
+and errors. Each handler and schema helper imports the library modules it
+calls where it calls them, so a cold run loads only its own command's
+modules.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
 
-from . import lqr as lqrmod
-from . import minprin, realization, registry, response, stability, structural, synthesis
 from .cli import COMMANDS
 from .errors import (
     DegeneratePencil,
     NonSquarePlant,
     SchemaError,
 )
-from .model import LtvModel, NonlinearModel, StateSpace, ltv_model
-from .realization import RationalFunction, TransferMatrix, rational
+
+if TYPE_CHECKING:
+    from .lqr import LqrProblem
+    from .model import StateSpace
+    from .realization import RationalFunction
+    from .response import Trajectory
 
 _NUMBER = (int, float)
 
@@ -131,6 +138,8 @@ def _poly(value, loc: str) -> np.ndarray:
 
 
 def _tf_entry(value, loc: str) -> RationalFunction:
+    from .realization import rational
+
     if not isinstance(value, dict):
         _fail("transfer function object {num, den} expected", loc)
     num = _poly(_require(value, "num", loc), f"{loc}/num")
@@ -142,6 +151,8 @@ def _tf_entry(value, loc: str) -> RationalFunction:
 
 def _tf_doc(value, loc: str):
     """A single {num, den} object or a nested grid under "entries"."""
+    from .realization import TransferMatrix
+
     if isinstance(value, dict) and "entries" in value:
         rows = value["entries"]
         if not isinstance(rows, list) or not rows:
@@ -192,6 +203,8 @@ def _poly_out(p) -> list:
 
 
 def _tf_out(obj) -> dict:
+    from .realization import TransferMatrix
+
     if isinstance(obj, TransferMatrix):
         if obj.p == 1 and obj.m == 1:
             obj = obj.single()
@@ -219,7 +232,7 @@ def _csv(header: List[str], rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _trajectory_csv(traj: response.Trajectory) -> str:
+def _trajectory_csv(traj: Trajectory) -> str:
     n = traj.states.shape[1] if traj.states.ndim == 2 else 0
     m = traj.inputs.shape[1] if traj.inputs.ndim == 2 else 0
     p = traj.outputs.shape[1] if traj.outputs.ndim == 2 else 0
@@ -268,6 +281,8 @@ def _matrix_samples(value, loc: str, count: int, rows: Optional[int],
 
 def model_from_doc(doc, loc: str = ""):
     """Build a model from the shared JSON schema rooted at `loc`."""
+    from .model import StateSpace, ltv_model
+
     if not isinstance(doc, dict):
         _fail("model object expected", loc)
     mtype = _require(doc, "type", loc)
@@ -318,6 +333,8 @@ def model_from_doc(doc, loc: str = ""):
                 _fail("params must be an object", f"{loc}/params")
             for key, value in params.items():
                 _number(value, f"{loc}/params/{key}")
+        from . import registry
+
         try:
             return registry.builtin_model(name, params)
         except SchemaError as exc:
@@ -345,6 +362,8 @@ def _extract_model(doc: dict):
 
 
 def _lti_model(doc: dict) -> StateSpace:
+    from .model import StateSpace
+
     model = _extract_model(doc)
     if not isinstance(model, StateSpace):
         _fail("this command requires a constant-coefficient (lti) model",
@@ -357,18 +376,20 @@ def _lti_model(doc: dict) -> StateSpace:
 
 
 def _h_realize(doc, tol, seed):
+    from . import realization
+
     form = doc.get("form", "ccf")
     if form not in ("ccf", "ocf", "modal", "minimal"):
         _fail("form must be one of ccf, ocf, modal, minimal", "/form")
     G = _tf_doc(_require(doc, "transfer", "/"), "/transfer")
-    if isinstance(G, TransferMatrix):
+    if isinstance(G, realization.TransferMatrix):
         if form != "minimal":
             _fail("matrix transfer input requires form 'minimal'", "/form")
         sys = realization.mimo_minimal_realization(
             G, rank_rtol=tol.get("rank_rtol", 1e-8))
     elif form == "minimal":
         sys = realization.mimo_minimal_realization(
-            TransferMatrix(entries=((G,),)),
+            realization.TransferMatrix(entries=((G,),)),
             rank_rtol=tol.get("rank_rtol", 1e-8))
     else:
         builder = {"ccf": realization.ccf, "ocf": realization.ocf,
@@ -382,6 +403,9 @@ def _h_realize(doc, tol, seed):
 
 
 def _mode_table(sys: StateSpace, mode_tol):
+    from . import structural
+    from .model import StateSpace
+
     fwd = structural.modal_controllability_test(sys, tol=mode_tol)
     dual = structural.modal_controllability_test(
         StateSpace(A=sys.A.T, B=sys.C.T, C=sys.B.T, D=sys.D.T), tol=mode_tol)
@@ -407,6 +431,8 @@ def _mode_table(sys: StateSpace, mode_tol):
 
 
 def _h_analyze(doc, tol, seed):
+    from . import structural
+
     sys = _lti_model(doc)
     modes = _mode_table(sys, tol.get("mode_tol"))
     report = structural.structural_analysis(sys)
@@ -419,6 +445,8 @@ def _h_analyze(doc, tol, seed):
 
 
 def _h_stability(doc, tol, seed):
+    from . import stability
+
     sys = _lti_model(doc)
     verdict = stability.lti_stability(sys.A, tol=tol.get("axis_tol"))
     results = {
@@ -440,6 +468,9 @@ def _h_stability(doc, tol, seed):
 
 
 def _h_structural(doc, tol, seed):
+    from . import structural
+    from .model import LtvModel, StateSpace
+
     model = _extract_model(doc)
     horizon = None
     if doc.get("horizon") is not None:
@@ -499,6 +530,8 @@ def _h_structural(doc, tol, seed):
 
 
 def _h_place(doc, tol, seed):
+    from . import synthesis
+
     sys = _lti_model(doc)
     poles = _pole_list(_require(doc, "poles", "/"), "/poles")
     gains = synthesis.place_poles(sys, poles,
@@ -511,6 +544,8 @@ def _h_place(doc, tol, seed):
 
 
 def _h_observer(doc, tol, seed):
+    from . import synthesis
+
     sys = _lti_model(doc)
     op = _pole_list(_require(doc, "observer_poles", "/"), "/observer_poles")
     verify_tol = tol.get("verify_tol", 1e-6)
@@ -542,6 +577,8 @@ def _h_observer(doc, tol, seed):
 
 
 def _h_integral(doc, tol, seed):
+    from . import synthesis
+
     sys = _lti_model(doc)
     poles = _pole_list(_require(doc, "poles", "/"), "/poles")
     design = synthesis.integral_control(sys, poles)
@@ -557,6 +594,9 @@ def _h_integral(doc, tol, seed):
 
 
 def _h_diophantine(doc, tol, seed):
+    from . import synthesis
+    from .realization import TransferMatrix
+
     plant = _tf_doc(_require(doc, "plant", "/"), "/plant")
     if isinstance(plant, TransferMatrix):
         plant = plant.single()
@@ -572,7 +612,10 @@ def _h_diophantine(doc, tol, seed):
     return results, {}, []
 
 
-def _lqr_problem(doc) -> lqrmod.LqrProblem:
+def _lqr_problem(doc) -> LqrProblem:
+    from .lqr import LqrProblem
+    from .model import NonlinearModel
+
     model = _extract_model(doc)
     if isinstance(model, NonlinearModel):
         _fail("quadratic regulation requires a linear model", "/model/type")
@@ -585,16 +628,18 @@ def _lqr_problem(doc) -> lqrmod.LqrProblem:
     t0 = _optional_number(doc, "t0", "", default=0.0)
     t1 = _optional_number(doc, "t1", "", default=None)
     try:
-        return lqrmod.LqrProblem(sys=model, Q=Q, R=R, M=M, t0=t0, t1=t1)
+        return LqrProblem(sys=model, Q=Q, R=R, M=M, t0=t0, t1=t1)
     except ValueError as exc:
         _fail(str(exc), "/Q")
 
 
 def _h_lqr(doc, tol, seed):
+    from . import lqr
+
     prob = _lqr_problem(doc)
     files: Dict[str, str] = {}
     if prob.infinite:
-        sol = lqrmod.solve_are(prob)
+        sol = lqr.solve_are(prob)
         results = {
             "K": _mat_out(sol.K_bar),
             "P": _mat_out(sol.P_bar),
@@ -605,7 +650,7 @@ def _h_lqr(doc, tol, seed):
     steps = None
     if doc.get("steps") is not None:
         steps = _integer(doc["steps"], "/steps", minimum=1)
-    sol = lqrmod.solve_rde(prob, steps=steps)
+    sol = lqr.solve_rde(prob, steps=steps)
     n = sol.P_grid.shape[1]
     samples = 201
     if doc.get("samples") is not None:
@@ -646,15 +691,17 @@ def _r_values(doc) -> np.ndarray:
 
 
 def _h_srl(doc, tol, seed):
+    from . import lqr, realization
+
     if doc.get("plant") is not None:
         plant = _tf_doc(doc["plant"], "/plant")
-        if isinstance(plant, TransferMatrix):
+        if isinstance(plant, realization.TransferMatrix):
             plant = plant.single()
     else:
         sys = _lti_model(doc)
         plant = realization.ss_to_tf(sys).single()
     rv = _r_values(doc)
-    points = lqrmod.symmetric_root_locus(plant, rv)
+    points = lqr.symmetric_root_locus(plant, rv)
     rows = []
     for pt in points:
         for z in pt.roots:
@@ -683,11 +730,13 @@ def _omegas(doc) -> Optional[np.ndarray]:
 
 
 def _h_margins(doc, tol, seed):
+    from . import lqr
+
     prob = _lqr_problem(doc)
     if not prob.infinite:
         _fail("margins are defined for the stationary design; omit t1", "/t1")
-    sol = lqrmod.solve_are(prob)
-    report = lqrmod.return_difference_report(sol, omegas=_omegas(doc))
+    sol = lqr.solve_are(prob)
+    report = lqr.return_difference_report(sol, omegas=_omegas(doc))
     rows = [
         [w, rd, sv]
         for w, rd, sv in zip(report.omegas, report.return_difference,
@@ -724,6 +773,8 @@ def _times_from_doc(doc, default_samples: int = 201) -> np.ndarray:
 
 
 def _h_simulate(doc, tol, seed):
+    from . import response
+
     model = _extract_model(doc)
     x0 = _vector(_require(doc, "x0", "/"), "/x0", length=model.n)
     times = _times_from_doc(doc)
@@ -752,6 +803,9 @@ def _h_simulate(doc, tol, seed):
 
 
 def _h_steer(doc, tol, seed):
+    from . import structural
+    from .model import NonlinearModel
+
     model = _extract_model(doc)
     if isinstance(model, NonlinearModel):
         _fail("steering requires a linear model", "/model/type")
@@ -786,6 +840,8 @@ def _h_steer(doc, tol, seed):
 
 
 def _h_tpbvp(doc, tol, seed):
+    from . import minprin
+
     kind = doc.get("kind", "lq")
     if kind == "bilinear":
         x0 = _number(_require(doc, "x0", "/"), "/x0")
@@ -865,6 +921,8 @@ def _h_tpbvp(doc, tol, seed):
 
 
 def _h_mintime(doc, tol, seed):
+    from . import minprin
+
     x0 = _vector(_require(doc, "x0", "/"), "/x0", length=2)
     sol = minprin.solve_double_integrator_min_time(x0)
     prob = minprin.MinTimeProblem(x0=tuple(float(v) for v in x0))

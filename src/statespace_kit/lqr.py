@@ -5,6 +5,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -19,8 +20,10 @@ from .errors import (
     StableSpaceDefect,
 )
 from .model import StateSpace
-from .realization import RationalFunction
 from .structural import structural_analysis
+
+if TYPE_CHECKING:
+    from .realization import RationalFunction
 
 
 @dataclass(frozen=True)

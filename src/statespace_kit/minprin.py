@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import numkit
 from .errors import InvalidHorizon, SingularPsi12
 from .model import StateSpace
-from .response import Trajectory, lti_trajectory
+
+if TYPE_CHECKING:
+    from .response import Trajectory
 
 
 @dataclass(frozen=True)
@@ -75,6 +78,8 @@ def solve_lq_tpbvp(prob: TpbvpProblem, samples: int = 401) -> TpbvpSolution:
     costate comes from an n x n linear system mixing pinned-coordinate rows
     with terminal-gradient rows.
     """
+    from .response import lti_trajectory
+
     n, m = prob.sys.n, prob.sys.m
     H = _hamiltonian_flow_matrix(prob)
     span = prob.t1 - prob.t0

@@ -322,13 +322,13 @@ def mimo_minimal_realization(
     entry may carry a repeated pole.
     """
     p_out, m_in = G.p, G.m
-    # collect distinct poles across entries
+    # expand every entry once; collect distinct poles across entries
     all_poles = []
     direct = np.zeros((p_out, m_in))
+    expansions = {}
     for i in range(p_out):
         for j in range(m_in):
-            e = G.entry(i, j)
-            exp = _entry_expansion(e)
+            exp = expansions[i, j] = _entry_expansion(G.entry(i, j))
             if numkit.poly_degree(exp.direct) > 0:
                 raise ImproperTransferFunction(f"entry ({i},{j}) is improper")
             if numkit.poly_degree(exp.direct) == 0:
@@ -347,13 +347,10 @@ def mimo_minimal_realization(
 
     def residue_matrix(pole):
         R = np.zeros((p_out, m_in), dtype=complex)
-        for i in range(p_out):
-            for j in range(m_in):
-                e = G.entry(i, j)
-                exp = _entry_expansion(e)
-                for q, k in zip(exp.poles, exp.residues):
-                    if abs(q - pole) <= 1e-7 * (1.0 + abs(pole)):
-                        R[i, j] += k
+        for (i, j), exp in expansions.items():
+            for q, k in zip(exp.poles, exp.residues):
+                if abs(q - pole) <= 1e-7 * (1.0 + abs(pole)):
+                    R[i, j] += k
         return R
 
     def split(R):

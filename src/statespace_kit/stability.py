@@ -9,7 +9,6 @@ import numpy as np
 from . import numkit
 from .errors import RepeatedEigenvalues, SingularLyapunovOperator
 from .model import Equilibrium, NonlinearModel, linearize_at_equilibrium
-from .realization import RationalFunction, TransferMatrix
 
 ASYMPTOTICALLY_STABLE = "asymptoticallyStable"
 STABLE_ISL = "stableISL"
@@ -305,6 +304,8 @@ class BiboReport:
 
 def bibo_stability(P, tol: float = 1e-9) -> BiboReport:
     """Pole test over every entry, after cancellation, with hidden-mode flags."""
+    from .realization import RationalFunction, TransferMatrix
+
     if isinstance(P, RationalFunction):
         entries = [P]
     elif isinstance(P, TransferMatrix):

@@ -15,8 +15,9 @@ from .errors import (
     SingularGrammian,
 )
 from .model import LtvModel, StateSpace
-from .response import fundamental_matrix_ltv, lti_trajectory, simulate
-from .stability import lti_stability, ASYMPTOTICALLY_STABLE
+
+# response and stability are imported inside the functions that call them,
+# so the rank, modal and zero tests load neither
 
 
 def controllability_matrix(A, B) -> np.ndarray:
@@ -203,10 +204,10 @@ def controllability_grammian(model, t0: float, tf: float) -> GrammianReport:
     if isinstance(model, StateSpace):
         A, B = model.A, model.B
         if np.isinf(tf):
+            from .stability import ASYMPTOTICALLY_STABLE, lti_stability, solve_lyapunov
+
             if lti_stability(A).kind != ASYMPTOTICALLY_STABLE:
                 raise ValueError("infinite-horizon grammian needs a strictly stable A")
-            from .stability import solve_lyapunov
-
             W = solve_lyapunov(A.T, B @ B.T)
             return _grammian_report(W, "controllability", (float(t0), np.inf))
         span = float(tf) - float(t0)
@@ -217,6 +218,8 @@ def controllability_grammian(model, t0: float, tf: float) -> GrammianReport:
     if isinstance(model, LtvModel):
         if float(tf) <= float(t0):
             raise ValueError("need tf > t0")
+        from .response import fundamental_matrix_ltv
+
         phi = fundamental_matrix_ltv(model, t0, tf)
 
         def factor(t):
@@ -235,10 +238,10 @@ def observability_grammian(model, t0: float, t1: float) -> GrammianReport:
     if isinstance(model, StateSpace):
         A, C = model.A, model.C
         if np.isinf(t1):
+            from .stability import ASYMPTOTICALLY_STABLE, lti_stability, solve_lyapunov
+
             if lti_stability(A).kind != ASYMPTOTICALLY_STABLE:
                 raise ValueError("infinite-horizon grammian needs a strictly stable A")
-            from .stability import solve_lyapunov
-
             H = solve_lyapunov(A, C.T @ C)
             return _grammian_report(H, "observability", (float(t0), np.inf))
         span = float(t1) - float(t0)
@@ -249,6 +252,8 @@ def observability_grammian(model, t0: float, t1: float) -> GrammianReport:
     if isinstance(model, LtvModel):
         if float(t1) <= float(t0):
             raise ValueError("need t1 > t0")
+        from .response import fundamental_matrix_ltv
+
         phi = fundamental_matrix_ltv(model, t0, t1)
 
         def factor(t):
@@ -325,7 +330,7 @@ def _pivoted_completion(columns, n, tol=1e-9):
         for q in chosen_orth:
             w -= (q @ w) * q
         norm = np.linalg.norm(w)
-        if norm > tol * max(1.0, np.linalg.norm(v)):
+        if norm > tol * np.linalg.norm(v):
             chosen_raw.append(v.astype(float))
             chosen_orth.append(w / norm)
             return True
@@ -451,6 +456,8 @@ def minimum_energy_steer(model, x0, xf, t0: float, tf: float,
     models simulate the constructed control. Returns (u, trajectory); the
     GrammianReport of W rides on the control as u.grammian.
     """
+    from .response import fundamental_matrix_ltv, lti_trajectory, simulate
+
     x0 = numkit.as_vector(x0).astype(float)
     xf = numkit.as_vector(xf).astype(float)
     rep = controllability_grammian(model, t0, tf)

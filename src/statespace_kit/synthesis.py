@@ -21,7 +21,9 @@ from .errors import (
 )
 from .model import StateSpace
 from .realization import RationalFunction, TransferMatrix, ss_to_tf
-from .structural import _pivoted_completion, controllability_matrix, staircase
+
+# structural is imported inside the functions that call it, so the
+# polynomial design loads only realization
 
 
 @dataclass(frozen=True)
@@ -66,6 +68,7 @@ def _siso_place(A, b, desired):
     # gain in companion coordinates, constant-term difference first
     kbar = (alpha[1:] - a[1:])[::-1].reshape(1, n)
     from .realization import ccf
+    from .structural import controllability_matrix
 
     canon = ccf(RationalFunction(np.array([1.0]), a))
     Cbar = controllability_matrix(canon.A, canon.B)
@@ -97,6 +100,8 @@ def place_poles(sys: StateSpace, desired_poles, verify_tol: float = 1e-6) -> Gai
     gain rank-one. Achieved eigenvalues are re-checked and a mismatch is an
     error rather than a warning.
     """
+    from .structural import staircase
+
     n = sys.n
     desired = _check_conjugate_closed(desired_poles)
     if desired.size != n:
@@ -129,6 +134,8 @@ def place_poles(sys: StateSpace, desired_poles, verify_tol: float = 1e-6) -> Gai
 
 def observer_gain(sys: StateSpace, desired_poles, verify_tol: float = 1e-6) -> GainSet:
     """Output-injection gain via placement on the transposed pair."""
+    from .structural import staircase
+
     n = sys.n
     if staircase(sys.A.T, sys.C.T).rank < n:
         raise Unobservable("the output cannot see every mode")
@@ -194,6 +201,8 @@ def reduced_order_observer(sys: StateSpace, observer_poles) -> ReducedOrderObser
     derivative from the update; outputs reconstruct the full state estimate
     in the original coordinates.
     """
+    from .structural import _pivoted_completion, staircase
+
     n, p, m = sys.n, sys.p, sys.m
     Tt, picked = _pivoted_completion(sys.C, n)
     if p == 0 or picked != p:

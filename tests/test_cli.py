@@ -542,6 +542,8 @@ def test_report_json_is_canonical(tmp_path):
 
 
 def test_thread_cap_seeds_blas_env():
+    from statespace_kit.cli import _BLAS_ENV_VARS
+
     code = (
         "import os\n"
         "os.environ['STATESPACE_KIT_THREADS'] = '3'\n"
@@ -550,7 +552,9 @@ def test_thread_cap_seeds_blas_env():
         "print(os.environ['OMP_NUM_THREADS'],"
         " os.environ['OPENBLAS_NUM_THREADS'])\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code],
+    # an earlier in-process cli.main may have set these in os.environ
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_ENV_VARS}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["3", "3"]
@@ -679,3 +683,164 @@ def test_no_module_level_scipy_and_no_scipy_signal():
                 signal.append(f"{os.path.basename(path)}:{node.lineno}")
     assert eager == [], "module-level scipy import"
     assert signal == [], "scipy.signal is never used"
+
+
+# ---------------------------------------------------------------------------
+# import budgets: a cold run loads only the library modules its command calls
+
+_FRONT_END = {"statespace_kit", "statespace_kit.cli", "statespace_kit.errors",
+              "statespace_kit._cliops"}
+
+# every library module a command may load, beyond the front end
+COMMAND_MODULES = {
+    "realize": {"numkit", "model", "realization"},
+    "analyze": {"numkit", "model", "structural"},
+    "stability": {"numkit", "model", "stability"},
+    "structural": {"numkit", "model", "structural", "stability", "response"},
+    "place": {"numkit", "model", "realization", "structural", "synthesis"},
+    "observer": {"numkit", "model", "realization", "structural", "synthesis"},
+    "integral": {"numkit", "model", "realization", "structural", "synthesis"},
+    "diophantine": {"numkit", "model", "realization", "synthesis"},
+    "lqr": {"numkit", "model", "structural", "lqr"},
+    "srl": {"numkit", "model", "realization", "structural", "lqr"},
+    "margins": {"numkit", "model", "structural", "lqr"},
+    "simulate": {"numkit", "model", "response", "registry"},
+    "steer": {"numkit", "model", "structural", "response"},
+    "tpbvp": {"numkit", "model", "minprin", "response"},
+    "mintime": {"numkit", "model", "minprin"},
+}
+
+_SS = {"type": "lti", "A": [[0.0, 1.0], [-2.0, -3.0]],
+       "B": [[0.0], [1.0]], "C": [[1.0, 0.0]]}
+_LTV = {"type": "ltv-samples", "times": [0.0, 1.0],
+        "A": [[[0.0, 1.0], [-2.0, -3.0]], [[0.0, 1.0], [-3.0, -3.0]]],
+        "B": [[[0.0], [1.0]], [[0.0], [1.0]]]}
+_TF = {"num": [1.0], "den": [1.0, 3.0, 2.0]}
+
+# one document per command, plus the paths that reach further modules
+COLD_RUNS = [
+    ("realize", {"transfer": _TF, "form": "ccf"}),
+    ("realize", {"transfer": {"entries": [[_TF, _TF]]}, "form": "minimal"}),
+    ("analyze", {"model": _SS}),
+    ("stability", {"model": _SS}),
+    ("structural", {"model": _SS}),
+    ("structural", {"model": _SS, "horizon": [0.0, None]}),
+    ("structural", {"model": _LTV, "horizon": [0.0, 1.0]}),
+    ("place", {"model": _SS, "poles": [-4.0, -5.0]}),
+    ("observer", {"model": _SS, "observer_poles": [-6.0, -7.0],
+                  "state_poles": [-4.0, -5.0]}),
+    ("integral", {"model": _SS, "poles": [-2.0, -3.0, -4.0]}),
+    ("diophantine", {"plant": {"num": [1.0], "den": [1.0, 0.0, -1.0]},
+                     "alpha_c": [1.0, 2.0, 2.0],
+                     "alpha_o": [1.0, 11.0, 30.0]}),
+    ("lqr", lqr_doc()),
+    ("lqr", dict(lqr_doc(), t1=1.0)),
+    ("srl", {"plant": _TF, "r_range": {"count": 5}}),
+    ("margins", {"model": _SS, "Q": [[1.0, 0.0], [0.0, 0.0]], "R": [[1.0]],
+                 "omega": {"count": 20}}),
+    ("simulate", {"model": _SS, "x0": [1.0, 0.0], "t1": 1.0, "samples": 11}),
+    ("simulate", {"model": {"type": "nonlinear-builtin", "name": "pendulum"},
+                  "x0": [0.1, 0.0], "t1": 1.0, "samples": 11}),
+    ("steer", {"model": _SS, "x0": [0.0, 0.0], "xf": [1.0, 0.0], "t0": 0.0,
+               "tf": 1.0, "samples": 11}),
+    ("tpbvp", {"kind": "bilinear", "x0": 0.5, "t1": 2.0}),
+    ("tpbvp", {"model": _SS, "Q": [[1.0, 0.0], [0.0, 1.0]], "R": [[1.0]],
+               "x0": [1.0, 0.0], "x1": [0.0, 0.0], "t0": 0.0, "t1": 1.0,
+               "samples": 11}),
+    ("mintime", {"x0": [1.0, 0.0]}),
+]
+
+
+def _package_modules(code):
+    """Run code in a fresh interpreter; the statespace_kit modules it loaded."""
+    code += ("\nimport json, sys\n"
+             "print(json.dumps(sorted(m for m in sys.modules"
+             " if m.split('.')[0] == 'statespace_kit')))\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_handler_import_loads_only_the_front_end():
+    assert _package_modules("import statespace_kit._cliops") == _FRONT_END
+
+
+def test_every_command_has_an_import_budget_and_a_cold_run():
+    from statespace_kit.cli import COMMANDS
+
+    assert set(COMMAND_MODULES) == set(COMMANDS)
+    assert {command for command, _ in COLD_RUNS} == set(COMMANDS)
+
+
+@pytest.mark.parametrize("command,doc", COLD_RUNS,
+                         ids=[f"{c}-{i}" for i, (c, _) in enumerate(COLD_RUNS)])
+def test_cold_command_loads_only_its_modules(tmp_path, command, doc):
+    inp = write_json(tmp_path / "in.json", doc)
+    out = str(tmp_path / "out")
+    loaded = _package_modules(
+        "from statespace_kit import cli\n"
+        f"assert cli.main([{command!r}, '--input', {inp!r},"
+        f" '--out', {out!r}]) == 0\n")
+    library = {m.split(".", 1)[1] for m in loaded - _FRONT_END}
+    assert _FRONT_END <= loaded
+    assert library <= COMMAND_MODULES[command]
+
+
+# what importing each library module loads of the package, itself aside
+LIBRARY_IMPORTS = {
+    "errors": set(),
+    "numkit": {"errors"},
+    "model": {"errors", "numkit"},
+    "realization": {"errors", "numkit", "model"},
+    "response": {"errors", "numkit", "model"},
+    "stability": {"errors", "numkit", "model"},
+    "structural": {"errors", "numkit", "model"},
+    "synthesis": {"errors", "numkit", "model", "realization"},
+    "lqr": {"errors", "numkit", "model", "structural"},
+    "minprin": {"errors", "numkit", "model"},
+    "registry": {"errors", "numkit", "model"},
+}
+
+
+@pytest.mark.parametrize("module", sorted(LIBRARY_IMPORTS))
+def test_library_module_imports_only_what_it_needs_at_load(module):
+    loaded = _package_modules(f"import statespace_kit.{module}")
+    expected = {"statespace_kit", f"statespace_kit.{module}"}
+    expected |= {f"statespace_kit.{m}" for m in LIBRARY_IMPORTS[module]}
+    assert loaded == expected
+
+
+def _type_checking_imports(tree):
+    """Import nodes under a module-level ``if TYPE_CHECKING:``."""
+    for node in tree.body:
+        if (isinstance(node, ast.If) and isinstance(node.test, ast.Name)
+                and node.test.id == "TYPE_CHECKING"):
+            for child in ast.walk(node):
+                if isinstance(child, (ast.Import, ast.ImportFrom)):
+                    yield child
+
+
+def _package_imports(node):
+    """Short names of the statespace_kit modules an import node loads."""
+    if isinstance(node, ast.Import):
+        full = [alias.name for alias in node.names]
+    else:
+        base = "statespace_kit" if node.level else node.module or ""
+        if node.level and node.module:
+            base += "." + node.module
+        full = ([f"{base}.{alias.name}" for alias in node.names]
+                if base == "statespace_kit" else [base])
+    return [m.split(".")[1] for m in full if m.startswith("statespace_kit.")]
+
+
+def test_cliops_imports_no_library_module_at_load():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "src",
+                        "statespace_kit", "_cliops.py")
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    typing_only = set(_type_checking_imports(tree))
+    eager = [f"{name}:{node.lineno}"
+             for node in _module_level_imports(tree) if node not in typing_only
+             for name in _package_imports(node) if name not in ("cli", "errors")]
+    assert eager == [], "module-level library import in _cliops"

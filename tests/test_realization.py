@@ -265,6 +265,22 @@ def test_mimo_minimal_transfer_equivalence():
         np.testing.assert_allclose(G(s), P(s), atol=1e-8)
 
 
+def test_mimo_expands_each_entry_once(monkeypatch):
+    import statespace_kit.realization as realization_module
+
+    calls = []
+    real = realization_module.residue_expansion
+
+    def counted(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(realization_module, "residue_expansion", counted)
+    P = mimo_example()
+    mimo_minimal_realization(P)
+    assert len(calls) == P.p * P.m
+
+
 def test_mimo_scalar_reduces_to_modal():
     g = rational([3.0, 5.0], np.poly([-1.0, -4.0]))
     sys = mimo_minimal_realization(TransferMatrix(((g,),)))

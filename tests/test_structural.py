@@ -442,6 +442,17 @@ def test_kccf_controllable_case_is_identity():
     np.testing.assert_allclose(dec.transform, np.eye(3))
 
 
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+def test_kccf_reachable_dimension_is_scale_free(scale):
+    # the reachability columns past b are as short as A is small; each is
+    # accepted or rejected relative to its own length
+    sys = state_space(scale * np.diag([-1.0, -2.0, -3.0]),
+                      np.array([[1.0], [1.0], [0.0]]))
+    dec = kalman_decompose(sys, "KCCF")
+    assert dec.n1 == 2
+    np.testing.assert_allclose(dec.B_bar[dec.n1:], np.zeros((1, 1)), atol=1e-9)
+
+
 def test_kocf_hidden_mode():
     sys = siso_system(np.array([[0.0, 1.0], [-5.0, -6.0]]),
                       np.array([[0.0], [1.0]]), np.array([[1.0, 1.0]]))

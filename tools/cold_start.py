@@ -4,17 +4,20 @@
 
 Each of the 15 commands gets one small inline document. A timed run is one
 fresh interpreter with PYTHONPATH=<tree>/src that calls
-``statespace_kit.cli.main`` on that document and prints its exit code and
-whether any ``scipy`` module got loaded; its wall time, spawn to exit, is
-what a user of the batch tool waits for. After one untimed run per command
+``statespace_kit.cli.main`` on that document and prints its exit code,
+whether any ``scipy`` module got loaded and which ``statespace_kit.*``
+modules did; its wall time, spawn to exit, is what a user of the batch tool
+waits for. After one untimed run per command
 and tree (which also compiles bytecode), each command runs k times per
 tree, the two trees alternating and swapping which goes first every round.
 
 The JSON written to FILE (default BENCH_cold_start.json) holds, per command
 and tree, the median and quartiles of the wall time, the exit codes and the
-scipy-loaded flags seen, plus the host, the Python, numpy and scipy
+scipy-loaded flags seen, and the sorted package modules loaded with their
+count (a deterministic figure beside the wall time; a run that loads a
+different set stops the tool), plus the host, the Python, numpy and scipy
 versions, STATESPACE_KIT_THREADS (1 unless set) and k. A markdown table of
-the medians goes to stdout. Standard library only.
+the medians and module counts goes to stdout. Standard library only.
 """
 
 import argparse
@@ -59,10 +62,11 @@ DOCUMENTS = {
 }
 
 _CHILD = (
-    "import sys\n"
+    "import json, sys\n"
     "from statespace_kit import cli\n"
     "rc = cli.main(sys.argv[1:])\n"
-    "print(rc, any(m.split('.')[0] == 'scipy' for m in sys.modules))\n"
+    "print(json.dumps([rc, any(m.split('.')[0] == 'scipy' for m in sys.modules),"
+    " sorted(m for m in sys.modules if m.startswith('statespace_kit.'))]))\n"
 )
 
 
@@ -75,19 +79,25 @@ def run_once(tree, command, inp, out, env):
     wall = time.perf_counter() - t0
     if proc.returncode != 0:
         sys.exit(f"{command} in {tree} failed:\n{proc.stderr[-2000:]}")
-    rc, scipy = proc.stdout.split()[-2:]
-    return wall, int(rc), scipy == "True"
+    rc, scipy, modules = json.loads(proc.stdout.splitlines()[-1])
+    return wall, rc, scipy, tuple(modules)
 
 
 def summary(samples):
     walls = sorted(s[0] for s in samples)
     q1, median, q3 = statistics.quantiles(walls, n=4, method="inclusive")
+    module_sets = {s[3] for s in samples}
+    if len(module_sets) != 1:
+        sys.exit(f"runs loaded different module sets: {sorted(module_sets)}")
+    modules = module_sets.pop()
     return {
         "median_s": round(median, 4),
         "q1_s": round(q1, 4),
         "q3_s": round(q3, 4),
         "exit_codes": sorted({s[1] for s in samples}),
         "scipy_loaded": sorted({s[2] for s in samples}),
+        "modules": list(modules),
+        "module_count": len(modules),
     }
 
 
@@ -129,13 +139,15 @@ def main(argv=None):
         "settings": {"STATESPACE_KIT_THREADS": threads, "k": args.k},
         "commands": {},
     }
-    print("| command | parent (s) | change (s) | scipy loaded (parent / change) |")
-    print("| --- | --- | --- | --- |")
+    print("| command | parent (s) | change (s) | modules (parent / change) "
+          "| scipy loaded (parent / change) |")
+    print("| --- | --- | --- | --- | --- |")
     for command, by_side in samples.items():
         row = {side: summary(s) for side, s in by_side.items()}
         report["commands"][command] = row
         print(f"| `{command}` | {row['parent']['median_s']:.3f} | "
               f"{row['change']['median_s']:.3f} | "
+              f"{row['parent']['module_count']} / {row['change']['module_count']} | "
               f"{row['parent']['scipy_loaded']} / {row['change']['scipy_loaded']} |")
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
