@@ -348,10 +348,6 @@ def model_from_doc(doc, loc: str = ""):
           f"{loc}/type")
 
 
-def load_model_doc(doc):
-    return model_from_doc(doc, loc="")
-
-
 def _extract_model(doc: dict):
     """Commands accept either {"model": {...}, ...} or a bare model file."""
     if isinstance(doc, dict) and "model" in doc:

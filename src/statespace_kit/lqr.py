@@ -184,24 +184,23 @@ class HamiltonianPencil:
     matrix: np.ndarray
     spectrum: np.ndarray
     vectors: np.ndarray  # right eigenvector columns, parallel to spectrum
-    stable_basis: np.ndarray  # 2n x n, stable eigenvector columns
 
 
-def build_hamiltonian(prob: LqrProblem) -> HamiltonianPencil:
+def _hamiltonian(prob: LqrProblem):
+    """The coupled state-costate flow matrix H, with R^-1 and S = B R^-1 B'."""
     if not isinstance(prob.sys, StateSpace):
         raise TypeError("constant-coefficient model required")
     A, B = prob.sys.A, prob.sys.B
-    n = A.shape[0]
     Rinv = np.linalg.solve(prob.R, np.eye(prob.R.shape[0]))
     S = B @ Rinv @ B.T
-    H = np.block([[A, -S], [-prob.Q, -A.T]])
+    return np.block([[A, -S], [-prob.Q, -A.T]]), Rinv, S
+
+
+def build_hamiltonian(prob: LqrProblem) -> HamiltonianPencil:
+    H, _, _ = _hamiltonian(prob)
     eig = numkit.eigen(H)
-    order = np.argsort(eig.values.real, kind="stable")
-    stable_cols = [i for i in order if eig.values[i].real < 0]
-    basis = eig.right_vectors[:, stable_cols[:n]] if len(stable_cols) >= n \
-        else eig.right_vectors[:, stable_cols]
     return HamiltonianPencil(matrix=H, spectrum=eig.values,
-                             vectors=eig.right_vectors, stable_basis=basis)
+                             vectors=eig.right_vectors)
 
 
 def _partition_by_stability(pencil: HamiltonianPencil, tol):
@@ -266,13 +265,49 @@ def solve_rde_by_hamiltonian(prob: LqrProblem, samples: int = 201) -> RiccatiSol
     )
 
 
-def solve_are(prob: LqrProblem) -> RiccatiSolution:
-    """Stationary solution from the stable eigenvectors of the coupled flow.
+# Newton iteration for sign(H): step cap, and the relative change of a step
+# that ends it. Convergence is quadratic near the end, so the iterate after
+# a step of relative size 1e-8 is already at the rounding floor.
+_SIGN_MAX_STEPS = 100
+_SIGN_TOL = 1e-8
 
-    Requires a stabilizable input and a detectable cost; the candidate is
-    validated against the quadratic equation and the closed-loop spectrum
-    before anything is returned. The coupled-flow matrix is decomposed
-    once, by build_hamiltonian, and its eigenvectors give the stable basis.
+
+def _matrix_sign(H: np.ndarray) -> np.ndarray:
+    """sign(H) by Newton's iteration Z <- (cZ + (cZ)^-1)/2 in real arithmetic.
+
+    The determinant scale c = |det Z|^(-1/2n) (Roberts 1980; Byers 1987)
+    makes the geometric mean of the eigenvalue moduli one, so the steps do
+    not depend on the overall scale of H; slogdet keeps it finite at any
+    size.
+    """
+    Z = H
+    change = np.inf
+    for step in range(1, _SIGN_MAX_STEPS + 1):
+        c = np.exp(-np.linalg.slogdet(Z)[1] / Z.shape[0])
+        Znext = 0.5 * (c * Z + np.linalg.inv(Z) / c)
+        change = float(np.linalg.norm(Znext - Z, 1) / np.linalg.norm(Znext, 1))
+        Z = Znext
+        if change <= _SIGN_TOL:
+            return Z
+        if not np.isfinite(change):
+            break
+    raise StableSpaceDefect(
+        f"sign iteration stopped after {step} steps with relative change "
+        f"{change:.3e} above {_SIGN_TOL:.0e}"
+    )
+
+
+def solve_are(prob: LqrProblem) -> RiccatiSolution:
+    """Stationary solution from the sign of the coupled-flow matrix H.
+
+    Requires a stabilizable input and a detectable cost. W = sign(H) is
+    computed in real arithmetic by a scaled Newton iteration; the stable
+    invariant subspace of H is the null space of W + I, so the graph
+    [I; P] of that subspace solves [W12; W22 + I] P = -[W11 + I; W21] in
+    the least-squares sense. No eigenvectors of H are formed: its
+    eigenvalues alone give the axis check and the closed-loop poles. The
+    candidate is validated against the quadratic equation and the
+    closed-loop spectrum before anything is returned.
     """
     if not prob.infinite:
         raise ValueError("infinite horizon required")
@@ -292,29 +327,32 @@ def solve_are(prob: LqrProblem) -> RiccatiSolution:
             raise NotDetectable("unstable dynamics carry no cost; value undefined")
     elif not report.detectable:
         raise NotDetectable("an unstable mode is invisible to the cost")
-    pencil = build_hamiltonian(prob)
-    tol = 1e-9 * (1.0 + float(np.max(np.abs(pencil.spectrum))))
-    lam = pencil.spectrum
-    if np.any(np.abs(lam.real) <= tol):
-        raise StableSpaceDefect("coupled-flow spectrum touches the imaginary axis")
-    stable = [i for i in range(2 * n) if lam[i].real < -tol]
-    if len(stable) != n:
+    H, Rinv, S = _hamiltonian(prob)
+    lam = np.linalg.eigvals(H)
+    # relative to the spectrum alone: H -> cH leaves the verdict unchanged
+    tol = 1e-9 * float(np.max(np.abs(lam)))
+    nearest = float(np.min(np.abs(lam.real)))
+    if nearest <= tol:
         raise StableSpaceDefect(
-            f"expected {n} strictly stable directions, found {len(stable)}"
+            f"coupled-flow spectrum touches the imaginary axis: |Re| "
+            f"{nearest:.3e} within band {tol:.3e}"
         )
-    U = pencil.vectors[:, stable]
-    U11, U21 = U[:n, :], U[n:, :]
-    if np.linalg.cond(U11) > 1e12:
-        raise StableSpaceDefect("stable-basis top block is numerically singular")
-    P = U21 @ np.linalg.solve(U11, np.eye(n))
-    imag_mag = float(np.max(np.abs(P.imag))) if np.iscomplexobj(P) else 0.0
-    Preal = np.real(P)
-    scale = max(1.0, float(np.linalg.norm(Preal)))
-    if imag_mag > 1e-8 * scale:
-        raise StableSpaceDefect("stationary candidate failed to come out real")
-    Pbar = 0.5 * (Preal + Preal.T)
-    Rinv = np.linalg.solve(prob.R, np.eye(prob.R.shape[0]))
-    S = sys.B @ Rinv @ sys.B.T
+    stable = lam[lam.real < -tol]
+    if stable.size != n:
+        raise StableSpaceDefect(
+            f"expected {n} strictly stable directions, found {stable.size}"
+        )
+    W = _matrix_sign(H)
+    eye = np.eye(n)
+    block = np.vstack([W[:n, n:], W[n:, n:] + eye])
+    P, _, _, sv = np.linalg.lstsq(
+        block, -np.vstack([W[:n, :n] + eye, W[n:, :n]]), rcond=None)
+    ratio = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
+    if ratio > 1e12:
+        raise StableSpaceDefect(
+            f"stable-subspace block condition {ratio:.3e} exceeds 1e+12"
+        )
+    Pbar = 0.5 * (P + P.T)
     residual = float(np.linalg.norm(
         sys.A.T @ Pbar + Pbar @ sys.A - Pbar @ S @ Pbar + prob.Q))
     bound = 1e-8 * (float(np.linalg.norm(prob.Q))
@@ -325,15 +363,19 @@ def solve_are(prob: LqrProblem) -> RiccatiSolution:
             f"stationary residual {residual:.3e} exceeds bound {bound:.3e}"
         )
     K = Rinv @ sys.B.T @ Pbar
-    poles = np.asarray(sorted((lam[i] for i in stable),
-                              key=lambda z: (z.real, z.imag)), dtype=complex)
-    achieved = sorted(np.linalg.eigvals(sys.A - sys.B @ K),
-                      key=lambda z: (z.real, z.imag))
-    for want, got in zip(poles, achieved):
-        if abs(want - got) > 1e-6 * (1.0 + abs(want)):
-            raise StableSpaceDefect(
-                "closed-loop spectrum disagrees with the stable directions"
-            )
+    poles = np.asarray(sorted(stable, key=lambda z: (z.real, z.imag)),
+                       dtype=complex)
+    achieved = np.asarray(sorted(numkit.eigen(sys.A - sys.B @ K).values,
+                                 key=lambda z: (z.real, z.imag)), dtype=complex)
+    gaps = np.abs(poles - achieved)
+    bounds = 1e-6 * (1.0 + np.abs(poles))
+    worst = int(np.argmax(gaps / bounds))
+    if gaps[worst] > bounds[worst]:
+        raise StableSpaceDefect(
+            f"closed-loop eigenvalue {achieved[worst]:.6g} is {gaps[worst]:.3e} "
+            f"from the stable direction {poles[worst]:.6g}, above bound "
+            f"{bounds[worst]:.3e}"
+        )
     return RiccatiSolution(
         kind="infinite", problem=prob, times=None, P_grid=None,
         P_bar=Pbar, K_bar=K, closed_loop_poles=poles, warnings=tuple(warnings),

@@ -60,6 +60,24 @@ def test_lqr_stationary_report(tmp_path):
     assert report["results"]["horizon"] == "infinite"
 
 
+def test_lqr_nearly_defective_hamiltonian(tmp_path):
+    # a stable 4x4 Jordan block with a faint state weight: the coupled-flow
+    # matrix is nearly defective, and the stationary solve still succeeds
+    n = 4
+    A = -np.eye(n) + np.diag(np.ones(n - 1), 1)
+    doc = {"model": {"type": "lti", "A": A.tolist(),
+                     "B": [[0.0]] * (n - 1) + [[1.0]]},
+           "Q": (1e-8 * np.eye(n)).tolist(), "R": [[1.0]]}
+    inp = write_json(tmp_path / "in.json", doc)
+    out = tmp_path / "out"
+    proc = run_cli("lqr", "--input", inp, "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    report = read_report(out)
+    assert report["error"] is None
+    P = np.array(report["results"]["P"])
+    assert P.shape == (n, n) and np.all(np.isfinite(P)) and P[0, 0] > 0
+
+
 def test_lqr_finite_horizon_writes_profile(tmp_path):
     doc = lqr_doc()
     doc["t1"] = 2.0

@@ -2,14 +2,21 @@
 loop-gain identity, root-locus cross-checks, value function."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.linalg import solve_continuous_lyapunov
 
 from conftest import rng, sorted_complex
 from statespace_kit import lqr as lqr_module
 from statespace_kit import numkit
-from statespace_kit.errors import NotDetectable, NotStabilizable
+from statespace_kit.errors import (
+    NotDetectable,
+    NotStabilizable,
+    StableSpaceDefect,
+)
 from statespace_kit.lqr import (
     LqrProblem,
     build_hamiltonian,
@@ -152,6 +159,98 @@ def test_are_not_detectable():
         solve_are(LqrProblem(sys, Q=np.array([[0.0]]), R=np.array([[1.0]])))
 
 
+def jordan_problem(n, q):
+    # a stable Jordan block driven through its last state: the coupled-flow
+    # matrix is defective (q = 0) or nearly so (small q)
+    A = -np.eye(n) + np.diag(np.ones(n - 1), 1)
+    b = np.zeros((n, 1))
+    b[-1, 0] = 1.0
+    return LqrProblem(state_space(A, b), Q=q * np.eye(n), R=np.array([[1.0]]))
+
+
+def kleinman_reference(prob, steps=6):
+    # Newton-Kleinman from the stabilizing gain K = 0 (A is stable, R = 1);
+    # the first step is the Lyapunov solution of the open loop
+    A, B = prob.sys.A, prob.sys.B
+    K = np.zeros((B.shape[1], A.shape[0]))
+    for _ in range(steps):
+        P = solve_continuous_lyapunov((A - B @ K).T, -(prob.Q + K.T @ K))
+        K = B.T @ P
+    return P
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_are_defective_hamiltonian_zero_weight(n):
+    sol = solve_are(jordan_problem(n, 0.0))
+    assert np.max(np.abs(sol.P_bar)) <= 1e-15
+    assert np.max(np.abs(sol.K_bar)) <= 1e-15
+
+
+@pytest.mark.parametrize("q", [1e-12, 1e-8])
+def test_are_nearly_defective_hamiltonian(q):
+    prob = jordan_problem(4, q)
+    sol = solve_are(prob)
+    assert np.max(np.abs(sol.P_bar - kleinman_reference(prob))) <= 1e-15
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8), m=st.integers(1, 2),
+       log_c=st.floats(-12.0, 12.0), rotate=st.booleans())
+def test_are_survives_scaling_and_rotation(seed, n, m, log_c, rotate):
+    # (A, Q, R) -> (cA, cQ, R/c) leaves P alone; an orthogonal change of
+    # coordinates T takes P to T'PT
+    gen = rng(seed)
+    A = gen.normal(size=(n, n)) / np.sqrt(n)
+    B = gen.normal(size=(n, m))
+    G = gen.normal(size=(n, n))
+    Q = G @ G.T / n + 0.1 * np.eye(n)
+    F = gen.normal(size=(m, m))
+    R = F @ F.T / m + np.eye(m)
+    base = solve_are(LqrProblem(state_space(A, B), Q=Q, R=R)).P_bar
+    c = 10.0 ** log_c
+    T = np.linalg.qr(gen.normal(size=(n, n)))[0] if rotate else np.eye(n)
+    moved = LqrProblem(state_space(c * (T.T @ A @ T), T.T @ B),
+                       Q=c * (T.T @ Q @ T), R=R / c)
+    P = solve_are(moved).P_bar
+    assert np.linalg.norm(P - T.T @ base @ T) <= 1e-8 * np.linalg.norm(base)
+
+
+def test_are_axis_gate_names_distance_and_band():
+    sys = state_space(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.array([[0.0], [1e-6]]))
+    with pytest.raises(StableSpaceDefect, match="imaginary axis") as exc:
+        solve_are(LqrProblem(sys, Q=1e-6 * np.eye(2), R=np.array([[1.0]])))
+    assert "7.071e-10" in str(exc.value) and "1.000e-09" in str(exc.value)
+
+
+def test_are_closed_loop_gate_names_distance_and_bound(monkeypatch):
+    real = numkit.eigen
+
+    def shifted(M):
+        return dataclasses.replace(real(M), values=real(M).values + 1e-3)
+
+    monkeypatch.setattr(numkit, "eigen", shifted)
+    with pytest.raises(StableSpaceDefect, match="closed-loop") as exc:
+        solve_are(two_input_problem())
+    # poles -1 and -2, each 1e-3 away: the worst margin is at -1
+    assert "1.000e-03" in str(exc.value) and "2.000e-06" in str(exc.value)
+
+
+def test_are_conditioning_gate_names_ratio_and_threshold(monkeypatch):
+    W = -np.eye(4)
+    W[2:, 2:] += np.diag([1.0, 2.0 ** -46])  # W22 + I = diag(1, 2^-46), exactly
+    monkeypatch.setattr(lqr_module, "_matrix_sign", lambda H: W)
+    with pytest.raises(StableSpaceDefect, match="condition") as exc:
+        solve_are(two_input_problem())
+    assert "7.037e+13" in str(exc.value) and "1e+12" in str(exc.value)
+
+
+def test_are_sign_iteration_cap_names_steps_and_tolerance(monkeypatch):
+    monkeypatch.setattr(lqr_module, "_SIGN_MAX_STEPS", 2)
+    with pytest.raises(StableSpaceDefect, match="2 steps") as exc:
+        solve_are(two_input_problem())
+    assert re.search(r"change \d\.\d{3}e[-+]\d\d above 1e-08", str(exc.value))
+
+
 # ---------------------------------------------------------------------------
 # finite-horizon flow
 
@@ -233,7 +332,6 @@ def test_hamiltonian_spectrum_reflection_symmetry():
     for z in lam:
         assert np.min(np.abs(lam + z)) <= 1e-8 * (1.0 + abs(z))
     assert pencil.matrix.shape == (4, 4)
-    assert pencil.stable_basis.shape == (4, 2)
 
 
 # ---------------------------------------------------------------------------

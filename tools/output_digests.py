@@ -1,8 +1,13 @@
 """Print one digest line per input document: ``name exit-code sha256``.
 
     PYTHONPATH=<tree>/src python3 tools/output_digests.py DOCS_DIR OUT_DIR
+    PYTHONPATH=<tree>/src python3 tools/output_digests.py \
+        --workload dense-design --seed 7 DOCS_DIR OUT_DIR
 
-Every ``*.json`` in DOCS_DIR runs through ``statespace_kit.cli.main`` into
+With --workload and --seed, DOCS_DIR is emptied first and filled with the
+benchmark documents ``perfbench/bench_docs.generate(WORKLOAD, SEED)`` of the
+checkout this script sits in, one ``<id>.json`` each. Every ``*.json`` in
+DOCS_DIR runs through ``statespace_kit.cli.main`` into
 OUT_DIR/<name>, which is emptied first. The command is the first
 dash-separated part of the file name that names one (``007-simulate-n2``
 runs ``simulate``). The digest covers the name and bytes of every output
@@ -11,12 +16,17 @@ comparable lines only with the same DOCS_DIR and OUT_DIR; run it once per
 tree and diff the two listings.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
+import json
 import os
 import shutil
 import sys
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                         "perfbench")
 
 
 def digest(outdir):
@@ -38,6 +48,17 @@ def run(cli, argv):
         return "exception:" + type(exc).__name__
 
 
+def write_documents(workload, seed, docs_dir):
+    sys.path.insert(0, PERFBENCH)
+    import bench_docs
+
+    shutil.rmtree(docs_dir, ignore_errors=True)
+    os.makedirs(docs_dir)
+    for doc in bench_docs.generate(workload, seed):
+        with open(os.path.join(docs_dir, doc.id + ".json"), "w") as fh:
+            json.dump(doc.body, fh)
+
+
 def main(docs_dir, out_dir):
     from statespace_kit import cli
 
@@ -56,6 +77,14 @@ def main(docs_dir, out_dir):
 
 
 if __name__ == "__main__":
-    if len(sys.argv) != 3:
-        sys.exit(__doc__)
-    main(os.path.abspath(sys.argv[1]), os.path.abspath(sys.argv[2]))
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--workload", help="benchmark workload to write into DOCS_DIR")
+    ap.add_argument("--seed", type=int, help="seed of those documents")
+    ap.add_argument("docs_dir")
+    ap.add_argument("out_dir")
+    args = ap.parse_args()
+    if (args.workload is None) != (args.seed is None):
+        ap.error("--workload and --seed go together")
+    if args.workload is not None:
+        write_documents(args.workload, args.seed, os.path.abspath(args.docs_dir))
+    main(os.path.abspath(args.docs_dir), os.path.abspath(args.out_dir))
