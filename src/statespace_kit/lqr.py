@@ -281,7 +281,6 @@ def _matrix_sign(H: np.ndarray) -> np.ndarray:
     size.
     """
     Z = H
-    change = np.inf
     for step in range(1, _SIGN_MAX_STEPS + 1):
         c = np.exp(-np.linalg.slogdet(Z)[1] / Z.shape[0])
         Znext = 0.5 * (c * Z + np.linalg.inv(Z) / c)
