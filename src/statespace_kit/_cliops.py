@@ -15,7 +15,6 @@ modules.
 
 from __future__ import annotations
 
-import bisect
 import math
 from typing import TYPE_CHECKING, Dict, List, Optional
 
@@ -249,22 +248,6 @@ def _trajectory_csv(traj: Trajectory) -> str:
 # model loading (shared JSON schema)
 
 
-def _interp_stack(times: np.ndarray, stack: np.ndarray):
-    ts = times.tolist()
-    last = len(ts) - 1
-
-    def at(t: float) -> np.ndarray:
-        if t <= ts[0]:
-            return stack[0]
-        if t >= ts[-1]:
-            return stack[-1]
-        j = min(bisect.bisect_right(ts, t), last)
-        w = (t - ts[j - 1]) / (ts[j] - ts[j - 1])
-        return (1.0 - w) * stack[j - 1] + w * stack[j]
-
-    return at
-
-
 def _matrix_samples(value, loc: str, count: int, rows: Optional[int],
                     cols: Optional[int]) -> np.ndarray:
     if not isinstance(value, list) or len(value) != count:
@@ -282,6 +265,7 @@ def _matrix_samples(value, loc: str, count: int, rows: Optional[int],
 def model_from_doc(doc, loc: str = ""):
     """Build a model from the shared JSON schema rooted at `loc`."""
     from .model import StateSpace, ltv_model
+    from .numkit import sample_interpolant
 
     if not isinstance(doc, dict):
         _fail("model object expected", loc)
@@ -320,8 +304,7 @@ def model_from_doc(doc, loc: str = ""):
         breaks = ()
         if doc.get("breaks"):
             breaks = tuple(_vector(doc["breaks"], f"{loc}/breaks"))
-        return ltv_model(A=_interp_stack(times, A), B=_interp_stack(times, Bs),
-                         C=_interp_stack(times, Cs), D=_interp_stack(times, Ds),
+        return ltv_model(*(sample_interpolant(times, S) for S in (A, Bs, Cs, Ds)),
                          n=n, m=m, p=p, breaks=breaks)
     if mtype == "nonlinear-builtin":
         name = _require(doc, "name", loc)

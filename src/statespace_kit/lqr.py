@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -76,17 +75,13 @@ class RiccatiSolution:
     warnings: tuple = ()
 
     @cached_property
-    def _knots(self) -> list:
-        return self.times.tolist()
+    def _P_of_t(self):
+        return numkit.sample_interpolant(self.times, self.P_grid)
 
     def P_at(self, t: float) -> np.ndarray:
         if self.kind == "infinite":
             return self.P_bar
-        ts = self._knots
-        t = min(max(float(t), ts[0]), ts[-1])
-        i = min(max(bisect.bisect_right(ts, t) - 1, 0), len(ts) - 2)
-        w = (t - ts[i]) / (ts[i + 1] - ts[i])
-        return (1.0 - w) * self.P_grid[i] + w * self.P_grid[i + 1]
+        return self._P_of_t(t)
 
     def K_at(self, t: float) -> np.ndarray:
         if self.kind == "infinite":
@@ -118,12 +113,10 @@ def _default_rde_steps(prob: LqrProblem) -> int:
 def solve_rde(prob: LqrProblem, steps: int = None) -> RiccatiSolution:
     """Backward sweep of the quadratic matrix flow from the terminal weight.
 
-    Fixed-step fourth-order integration on a uniform grid, resymmetrized
-    every step; entries running away to infinity raise with the escape
-    time instead of returning garbage. The weight B R^-1 B' is formed once
-    for a constant-coefficient model; a time-varying model's A(t) and B(t)
-    are evaluated once per distinct stage time (about twice per step), so
-    they must be pure functions of t.
+    Fixed-step fourth-order integration (numkit.rk4_march) on a uniform
+    grid, resymmetrized every step; entries running away to infinity raise
+    with the escape time instead of returning garbage. The weight
+    B R^-1 B' is formed once for a constant-coefficient model.
     """
     if prob.infinite:
         raise ValueError("finite horizon required")
@@ -143,26 +136,16 @@ def solve_rde(prob: LqrProblem, steps: int = None) -> RiccatiSolution:
         fixed = weights(prob.t1)
         coeffs = lambda t: fixed  # noqa: E731
     else:
-        coeffs = numkit.once_per_time(weights)
+        coeffs = weights
 
-    def flow(P, t):
-        A, S = coeffs(t)
-        return prob.Q + P @ A + A.T @ P - P @ S @ P
+    def rate(P, c):  # dP/dt = -(Q + PA + A'P - PSP), negated exactly
+        A, S = c
+        return P @ S @ P - (prob.Q + P @ A + A.T @ P)
 
     times = [prob.t1]
     grid = [M.astype(float)]
-    P = M.astype(float)
-    t = prob.t1
-    h2, h6 = h / 2, h / 6
-    # marching in s = t1 - t, where the quadratic flow enters with plus sign
-    for _ in range(steps):
-        k1 = flow(P, t)
-        k2 = flow(P + h2 * k1, t - h2)
-        k3 = flow(P + h2 * k2, t - h2)
-        k4 = flow(P + h * k3, t - h)
-        P = P + h6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        P = 0.5 * (P + P.T)
-        t -= h
+    for t, P, _ in numkit.rk4_march(rate, coeffs, prob.t1, grid[0], -h, steps,
+                                    settle=lambda P: 0.5 * (P + P.T)):
         if not np.isfinite(P).all() or float(np.linalg.norm(P)) > escape:
             raise FiniteEscape(f"solution escaped near t = {t:.6g}")
         times.append(t)
@@ -190,10 +173,7 @@ def _hamiltonian(prob: LqrProblem):
     """The coupled state-costate flow matrix H, with R^-1 and S = B R^-1 B'."""
     if not isinstance(prob.sys, StateSpace):
         raise TypeError("constant-coefficient model required")
-    A, B = prob.sys.A, prob.sys.B
-    Rinv = np.linalg.solve(prob.R, np.eye(prob.R.shape[0]))
-    S = B @ Rinv @ B.T
-    return np.block([[A, -S], [-prob.Q, -A.T]]), Rinv, S
+    return numkit.hamiltonian(prob.sys.A, prob.sys.B, prob.Q, prob.R)
 
 
 def build_hamiltonian(prob: LqrProblem) -> HamiltonianPencil:

@@ -62,13 +62,6 @@ class TpbvpSolution:
     endpoint_residual: float
 
 
-def _hamiltonian_flow_matrix(prob: TpbvpProblem) -> np.ndarray:
-    A, B = prob.sys.A, prob.sys.B
-    Rinv = np.linalg.solve(prob.R, np.eye(prob.R.shape[0]))
-    S = B @ Rinv @ B.T
-    return np.block([[A, -S], [-prob.Q, -A.T]])
-
-
 def solve_lq_tpbvp(prob: TpbvpProblem, samples: int = 401) -> TpbvpSolution:
     """Shooting-free endpoint solve through the coupled state-costate flow.
 
@@ -80,8 +73,8 @@ def solve_lq_tpbvp(prob: TpbvpProblem, samples: int = 401) -> TpbvpSolution:
     """
     from .response import lti_trajectory
 
-    n, m = prob.sys.n, prob.sys.m
-    H = _hamiltonian_flow_matrix(prob)
+    n = prob.sys.n
+    H, Rinv, _ = numkit.hamiltonian(prob.sys.A, prob.sys.B, prob.Q, prob.R)
     span = prob.t1 - prob.t0
     if span <= 0:
         raise ValueError("need t1 > t0")
@@ -104,7 +97,6 @@ def solve_lq_tpbvp(prob: TpbvpProblem, samples: int = 401) -> TpbvpSolution:
     if svals[-1] <= 1e-12 * max(1.0, svals[0]):
         raise SingularPsi12("the requested endpoint is not reachable this way")
     lam0 = np.linalg.solve(rows, rhs)
-    Rinv = np.linalg.solve(prob.R, np.eye(m))
     times = np.linspace(prob.t0, prob.t1, samples)
     z = numkit.expm_flow(H, np.concatenate([prob.x0, lam0]), times)
     states, costates = z[:, :n], z[:, n:]

@@ -105,9 +105,8 @@ def ltv_model(A, B=None, C=None, D=None, n=None, m=None, p=None, breaks=()) -> L
     """Time-varying model from matrix-valued callables of t.
 
     Missing B, C, D default to no input, the full state and no feedthrough;
-    missing dimensions are read from the callables at t = 0. Simulation and
-    the Riccati sweep evaluate the callables once per distinct stage time
-    and reuse the result, so they must be pure functions of t.
+    missing dimensions are read from the callables at t = 0. The callables
+    must be pure functions of t (see numkit.rk4_march).
     """
     if n is None:
         n = numkit.require_square(A(0.0)).shape[0]
@@ -284,21 +283,11 @@ def linearize_along_trajectory(
     C_samp = np.array(C_samp)
     D_samp = np.array(D_samp) if model.m else np.zeros((t.size, model.p, 0))
 
-    def interp(samples):
-        def at(tau, _t=t, _s=samples):
-            tau = float(np.clip(tau, _t[0], _t[-1]))
-            i = int(np.searchsorted(_t, tau, side="right") - 1)
-            i = min(max(i, 0), _t.size - 2)
-            w = (tau - _t[i]) / (_t[i + 1] - _t[i])
-            return (1.0 - w) * _s[i] + w * _s[i + 1]
-
-        return at
-
     return LtvModel(
-        A=interp(A_samp),
-        B=interp(B_samp),
-        C=interp(C_samp),
-        D=interp(D_samp),
+        A=numkit.sample_interpolant(t, A_samp),
+        B=numkit.sample_interpolant(t, B_samp),
+        C=numkit.sample_interpolant(t, C_samp),
+        D=numkit.sample_interpolant(t, D_samp),
         n=model.n,
         m=model.m,
         p=model.p,

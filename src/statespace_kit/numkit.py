@@ -9,6 +9,7 @@ Conventions fixed here for the whole package:
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -35,24 +36,6 @@ def as_matrix(A, dtype=float) -> np.ndarray:
     if not np.isfinite(M).all():
         raise ValueError("matrix entries must be finite")
     return M
-
-
-def once_per_time(fn):
-    """fn(t) with the last result kept: a repeat call at an equal t returns it.
-
-    Fixed-step fourth-order marches ask for their coefficients at t, twice at
-    the midpoint, then at the next step's t, so one entry halves the calls.
-    fn must be a pure function of t.
-    """
-    last_t, last = None, None
-
-    def at(t):
-        nonlocal last_t, last
-        if last_t is None or t != last_t:
-            last, last_t = fn(t), t
-        return last
-
-    return at
 
 
 def require_square(A) -> np.ndarray:
@@ -293,6 +276,67 @@ def expm_gramian(A, Q, t: float) -> np.ndarray:
     if not np.all(np.isfinite(W)):
         raise Overflow("grammian overflowed the representable range")
     return W
+
+
+# ---------------------------------------------------------------------------
+# time-varying flows
+
+
+def rk4_march(rate, coeff, t, y, h, steps, *, start=None, settle=None):
+    """Classical fourth-order steps of dy/dt = rate(y, coeff(t)) from y at t.
+
+    Yields (t, y, coeff(t)) after each step; h may be negative. coeff is
+    called at t, unless start already holds that value, and then twice per
+    step: at the midpoint, whose value k2 and k3 share, and at the end,
+    whose value the next step starts from. So coeff must be a pure function
+    of t. settle, when given, maps each new y before it is yielded and
+    stepped from.
+    """
+    h2, h6 = h / 2, h / 6
+    c = coeff(t) if start is None else start
+    for _ in range(steps):
+        mid, end = coeff(t + h2), coeff(t + h)
+        k1 = rate(y, c)
+        k2 = rate(y + h2 * k1, mid)
+        k3 = rate(y + h2 * k2, mid)
+        k4 = rate(y + h * k3, end)
+        y = y + h6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        if settle is not None:
+            y = settle(y)
+        t, c = t + h, end
+        yield t, y, c
+
+
+def sample_interpolant(times, samples):
+    """Piecewise-linear function of t through samples[k] at increasing times[k].
+
+    t is clamped into [times[0], times[-1]] and then weighted as
+    (1 - w) samples[i] + w samples[i + 1], the ends included.
+    """
+    ts = np.asarray(times, dtype=float).tolist()
+    last = len(ts) - 2
+
+    def at(t):
+        t = min(max(float(t), ts[0]), ts[-1])
+        i = min(bisect.bisect_right(ts, t) - 1, last)
+        w = (t - ts[i]) / (ts[i + 1] - ts[i])
+        return (1.0 - w) * samples[i] + w * samples[i + 1]
+
+    return at
+
+
+# ---------------------------------------------------------------------------
+# quadratic regulators
+
+
+def hamiltonian(A, B, Q, R):
+    """Coupled state-costate flow matrix H = [[A, -S], [-Q, -A']].
+
+    Returns (H, R^-1, S) with S = B R^-1 B'.
+    """
+    Rinv = np.linalg.solve(R, np.eye(R.shape[0]))
+    S = B @ Rinv @ B.T
+    return np.block([[A, -S], [-Q, -A.T]]), Rinv, S
 
 
 # ---------------------------------------------------------------------------

@@ -149,38 +149,32 @@ def fundamental_matrix_ltv(
 ) -> StateTransition:
     """Fundamental solution of dx/dt = A(t) x on [t0, t1].
 
-    Classical fourth-order stepping with nodes forced onto the declared
-    discontinuity points; evaluation between nodes uses cubic Hermite
-    interpolation of the stored solution and its derivative. A(t) is
-    evaluated once per distinct stage time (about twice per step), so it
-    must be a pure function of t.
+    Classical fourth-order stepping (numkit.rk4_march) with nodes forced
+    onto the declared discontinuity points; evaluation between nodes uses
+    cubic Hermite interpolation of the stored solution and its derivative.
     """
     n = model.n
-    A = numkit.once_per_time(lambda t: numkit.as_matrix(model.A(t)))
     span = float(t1) - float(t0)
     if span <= 0:
         raise ValueError("need t1 > t0")
     if max_step is None:
         max_step = span / 800.0
+
+    def A(t):
+        return numkit.as_matrix(model.A(t))
+
+    start = A(t0)
     ts = [t0]
     Us = [np.eye(n)]
-    dUs = [A(t0) @ Us[0]]
+    dUs = [start @ Us[0]]
     for a, b in _segments(t0, t1, model.piecewise_continuity_breaks):
         steps = max(2, int(np.ceil((b - a) / max_step)))
-        h = (b - a) / steps
-        h2, h6 = h / 2, h / 6
-        U = Us[-1]
-        t = a
-        for _ in range(steps):
-            k1 = A(t) @ U
-            k2 = A(t + h2) @ (U + h2 * k1)
-            k3 = A(t + h2) @ (U + h2 * k2)
-            k4 = A(t + h) @ (U + h * k3)
-            U = U + h6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            t += h
+        for t, U, At in numkit.rk4_march(lambda U, At: At @ U, A, a, Us[-1],
+                                         (b - a) / steps, steps, start=start):
             ts.append(t)
             Us.append(U)
-            dUs.append(A(t) @ U)
+            dUs.append(At @ U)
+        start = None
     table = _HermiteTable(ts, Us, dUs)
 
     def ev(t, tau, _tab=table):
@@ -229,11 +223,9 @@ def peano_baker(A_of_t, t0: float, t1: float, iterations: int = 4,
 
 
 def _input_function(u, m):
-    if u is None:
-        return lambda t: np.zeros(m)
     if callable(u):
         return lambda t: np.asarray(u(t), dtype=float).reshape(m)
-    const = np.asarray(u, dtype=float).reshape(m)
+    const = np.zeros(m) if u is None else np.asarray(u, dtype=float).reshape(m)
     return lambda t: const
 
 
@@ -245,36 +237,50 @@ def simulate(model, x0, times, u=None, max_step: float = None) -> Trajectory:
     With a callable input it uses the exact interval propagator and a
     Simpson rule for the forced term, on at most SUBSTEP_BUDGET substeps in
     all (WorkBudgetExceeded otherwise). Time-varying and nonlinear models use
-    fixed-step fourth-order integration, ceil((b - a) / max_step) steps on
-    each piece [a, b] between samples and breaks; that ceil is taken in
-    floating point and can exceed the ideal count by one (3 steps for a
-    0.02 interval at max_step 0.01). A time-varying model's A(t) and B(t)
-    are evaluated once per distinct stage time, so they must be pure
-    functions of t. A non-finite state or exponential stops the run early
-    and marks the result truncated.
+    fixed-step fourth-order integration (numkit.rk4_march),
+    ceil((b - a) / max_step) steps on each piece [a, b] between samples and
+    breaks; that ceil is taken in floating point and can exceed the ideal
+    count by one (3 steps for a 0.02 interval at max_step 0.01). There a
+    time-varying model's A(t) and B(t) and a callable input u(t) are
+    evaluated once per distinct stage time, so they must be pure functions
+    of t. A non-finite state or exponential stops the run early and marks
+    the result truncated.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 2 or np.any(np.diff(times) <= 0):
         raise ValueError("times must be strictly increasing with at least two samples")
     if isinstance(model, StateSpace):
         return _simulate_lti(model, x0, times, u, max_step)
+    uf = _input_function(u, model.m)
     if isinstance(model, LtvModel):
-        coeffs = numkit.once_per_time(lambda t: (
-            numkit.as_matrix(model.A(t)),
-            numkit.as_matrix(model.B(t)) if model.m else None))
+        def coeff(t):
+            return (numkit.as_matrix(model.A(t)),
+                    numkit.as_matrix(model.B(t)) @ uf(t))
 
-        def f(x, v, t):
-            A, B = coeffs(t)
-            return A @ x + (B @ v if model.m else 0.0)
+        def output(x, v, t):
+            return (numkit.as_matrix(model.C(t)) @ x
+                    + numkit.as_matrix(model.D(t)) @ v)
 
-        h = lambda x, v, t: numkit.as_matrix(model.C(t)) @ x + (  # noqa: E731
-            numkit.as_matrix(model.D(t)) @ v if model.m else 0.0)
-        shell = NonlinearModel(f=f, h=h, n=model.n, m=model.m, p=model.p)
-        return _simulate_rk4(shell, x0, times, u, max_step,
-                             breaks=model.piecewise_continuity_breaks)
-    if isinstance(model, NonlinearModel):
-        return _simulate_rk4(model, x0, times, u, max_step, breaks=())
-    raise TypeError(f"cannot simulate {type(model).__name__}")
+        states = _march_samples(lambda x, c: c[0] @ x + c[1], coeff, x0, times,
+                                max_step, model.piecewise_continuity_breaks)
+    elif isinstance(model, NonlinearModel):
+        def rate(x, c):
+            return np.asarray(model.f(x, *c), dtype=float).reshape(model.n)
+
+        output = model.h
+        states = _march_samples(rate, lambda t: (uf(t), t), x0, times,
+                                max_step, ())
+    else:
+        raise TypeError(f"cannot simulate {type(model).__name__}")
+    kept = states.shape[0]
+    tkeep = times[:kept]
+    inputs = np.array([uf(t) for t in tkeep]).reshape(kept, model.m)
+    outputs = np.array(
+        [np.asarray(output(states[i], inputs[i], tkeep[i]), dtype=float)
+         .reshape(model.p) for i in range(kept)]
+    ).reshape(kept, model.p)
+    return Trajectory(times=tkeep, states=states, inputs=inputs, outputs=outputs,
+                      truncated=kept < times.size)
 
 
 def lti_trajectory(sys: StateSpace, times, states, inputs) -> Trajectory:
@@ -334,49 +340,20 @@ def _simulate_lti(sys: StateSpace, x0, times, u, max_step):
     return lti_trajectory(sys, times, np.array(states), inputs)
 
 
-def _simulate_rk4(model: NonlinearModel, x0, times, u, max_step, breaks):
-    n, m, p = model.n, model.m, model.p
-    uf = _input_function(u, m)
+def _march_samples(rate, coeff, x0, times, max_step, breaks) -> np.ndarray:
+    """States at the samples by fourth-order steps on each piece between
+    samples and breaks; fewer rows than times when the state left the
+    finite range."""
     x = numkit.as_vector(x0).astype(float)
     if max_step is None:
         max_step = (times[-1] - times[0]) / 2000.0
-
-    def f(x_, t_):
-        return np.asarray(model.f(x_, uf(t_), t_), dtype=float).reshape(n)
-
-    states = [x.copy()]
-    truncated = False
+    states = [x]
     for k in range(times.size - 1):
-        segs = _segments(times[k], times[k + 1], breaks)
-        ok = True
-        for a, b in segs:
+        for a, b in _segments(times[k], times[k + 1], breaks):
             steps = max(1, int(np.ceil((b - a) / max_step)))
-            h = (b - a) / steps
-            h2, h6 = h / 2, h / 6
-            t = a
-            for _ in range(steps):
-                k1 = f(x, t)
-                k2 = f(x + h2 * k1, t + h2)
-                k3 = f(x + h2 * k2, t + h2)
-                k4 = f(x + h * k3, t + h)
-                x = x + h6 * (k1 + 2 * k2 + 2 * k3 + k4)
-                t += h
+            for _, x, _ in numkit.rk4_march(rate, coeff, a, x, (b - a) / steps,
+                                            steps):
                 if not np.isfinite(x).all():
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            truncated = True
-            break
-        states.append(x.copy())
-    states = np.array(states)
-    kept = states.shape[0]
-    tkeep = times[:kept]
-    inputs = np.array([uf(t) for t in tkeep]).reshape(kept, m)
-    outputs = np.array(
-        [np.asarray(model.h(states[i], inputs[i], tkeep[i]), dtype=float).reshape(p)
-         for i in range(kept)]
-    ).reshape(kept, p)
-    return Trajectory(times=tkeep, states=states, inputs=inputs, outputs=outputs,
-                      truncated=truncated)
+                    return np.array(states)
+        states.append(x)
+    return np.array(states)

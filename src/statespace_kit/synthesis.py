@@ -53,11 +53,15 @@ def _check_conjugate_closed(poles, tol=1e-9):
 
 
 def _match_multisets(achieved, desired, tol):
-    a = sorted(achieved, key=lambda z: (z.real, z.imag))
-    d = sorted(desired, key=lambda z: (z.real, z.imag))
-    if len(a) != len(d):
+    """Each requested pole against its nearest achieved one not yet taken."""
+    left = list(achieved)
+    if len(left) != len(desired):
         return False
-    return all(abs(x - y) <= tol * (1.0 + abs(y)) for x, y in zip(a, d))
+    for y in desired:
+        x = left.pop(min(range(len(left)), key=lambda i: abs(left[i] - y)))
+        if abs(x - y) > tol * (1.0 + abs(y)):
+            return False
+    return True
 
 
 def _siso_place(A, b, desired):

@@ -93,6 +93,22 @@ def test_lqr_finite_horizon_writes_profile(tmp_path):
     assert len(lines) == 202
 
 
+def test_lqr_profile_ends_on_signed_zero_terminal_weight(tmp_path):
+    # the last row interpolates the terminal weight with weights 0 and 1,
+    # which turns each -0.0 of M into 0
+    doc = {"model": {"type": "lti", "A": [[0.0, 1.0], [0.0, -1.0]],
+                     "B": [[0.0], [1.0]]},
+           "Q": [[1.0, 0.0], [0.0, 0.0]], "R": [[1.0]],
+           "M": [[0.0, -0.0], [-0.0, -0.0]], "t1": 2.0, "steps": 200,
+           "samples": 41}
+    inp = write_json(tmp_path / "in.json", doc)
+    out = tmp_path / "out"
+    proc = run_cli("lqr", "--input", inp, "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    lines = (out / "rde_profile.csv").read_text().splitlines()
+    assert lines[-1] == "2,0,0,0,0"
+
+
 def test_analyze_mode_table(tmp_path):
     doc = {"model": {"type": "lti",
                      "A": [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0],

@@ -1,10 +1,10 @@
-"""In-process checks of the batch tool's CSV writers and sampled-model
-interpolation against the per-value formulas they replace."""
+"""In-process checks of the batch tool's CSV writers against the per-value
+formulas they replace."""
 
 import numpy as np
 
 from statespace_kit import registry
-from statespace_kit._cliops import _csv, _interp_stack, _trajectory_csv
+from statespace_kit._cliops import _csv, _trajectory_csv
 from statespace_kit.model import NonlinearModel
 from statespace_kit.response import Trajectory, simulate
 
@@ -25,17 +25,6 @@ def reference_trajectory_csv(traj):
     rows = [[traj.times[i], *traj.states[i], *traj.inputs[i], *traj.outputs[i]]
             for i in range(traj.times.size)]
     return reference_csv(header, rows)
-
-
-def reference_interp(ts, stack, t):
-    if t <= ts[0]:
-        return stack[0]
-    if t >= ts[-1]:
-        return stack[-1]
-    j = int(np.searchsorted(ts, t, side="right"))
-    j = min(max(j, 1), ts.size - 1)
-    w = (t - ts[j - 1]) / (ts[j] - ts[j - 1])
-    return (1.0 - w) * stack[j - 1] + w * stack[j]
 
 
 # ---------------------------------------------------------------------------
@@ -80,21 +69,3 @@ def test_trajectory_csv_keeps_signed_zero_and_non_finite_values():
     assert text == reference_trajectory_csv(traj)
     assert text.splitlines()[1:] == ["0,-0,inf,-inf",
                                      "0.5,nan,4.9406564584124654e-324,1.0000000000000001e+300"]
-
-
-# ---------------------------------------------------------------------------
-# sampled-model interpolation
-
-
-def test_interp_stack_matches_searchsorted_formula_bitwise():
-    gen = np.random.default_rng(3)
-    ts = np.array([0.0, 0.1, 0.35, 0.35000000000000003, 1.0, 2.5, 4.0])
-    stack = gen.normal(size=(ts.size, 3, 2))
-    at = _interp_stack(ts, stack)
-    between = (ts[:-1] + ts[1:]) / 2
-    inside = gen.uniform(ts[0], ts[-1], size=50)
-    breaks = [0.35, 0.7, 1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)]
-    points = [*ts, *between, *inside, *breaks, -1.0, ts[0] - 1e-12, 4.5,
-              np.inf, -np.inf, 2, np.float64(2.5)]
-    for t in points:
-        assert np.array_equal(at(t), reference_interp(ts, stack, t)), t

@@ -268,6 +268,54 @@ def test_rde_zero_data_stays_zero():
     assert np.max(np.abs(sol.P_grid)) == 0.0
 
 
+def reference_rde_sweep(prob, steps):
+    # the backward sweep written out: fourth-order steps in s = t1 - t of
+    # Q + PA + A'P - PSP, resymmetrized after each step
+    n = prob.Q.shape[0]
+    M = prob.M if prob.M is not None else np.zeros((n, n))
+    h = (prob.t1 - prob.t0) / steps
+    Rinv = np.linalg.solve(prob.R, np.eye(prob.R.shape[0]))
+
+    def flow(P, t):
+        if callable(prob.sys.A):
+            A = numkit.as_matrix(prob.sys.A(t))
+            B = numkit.as_matrix(prob.sys.B(t))
+        else:
+            A, B = prob.sys.A, prob.sys.B
+        S = B @ Rinv @ B.T
+        return prob.Q + P @ A + A.T @ P - P @ S @ P
+
+    P, t = M.astype(float), prob.t1
+    times, grid = [t], [P]
+    for _ in range(steps):
+        k1 = flow(P, t)
+        k2 = flow(P + h / 2 * k1, t - h / 2)
+        k3 = flow(P + h / 2 * k2, t - h / 2)
+        k4 = flow(P + h * k3, t - h)
+        P = P + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        P = 0.5 * (P + P.T)
+        t -= h
+        times.append(t)
+        grid.append(P)
+    return np.array(times[::-1]), np.array(grid[::-1])
+
+
+def test_rde_sweep_matches_reference_loop_bitwise():
+    lti = LqrProblem(two_input_problem().sys, Q=np.diag([4.0, 1.0]),
+                     R=np.array([[2.0, 0.5], [0.5, 1.0]]),
+                     M=np.array([[1.0, 0.2], [0.2, 0.5]]), t0=0.3, t1=1.7)
+    varying = ltv_model(
+        lambda t: np.array([[0.0, 1.0], [-1.0 - 0.5 * np.sin(t), -0.2]]),
+        lambda t: np.array([[0.0], [1.0 + 0.3 * np.cos(t)]]), n=2, m=1, p=2)
+    ltv = LqrProblem(varying, Q=np.diag([1.0, 0.1]), R=np.array([[0.5]]),
+                     t1=2.0)
+    for prob, steps in ((lti, 70), (ltv, 150)):
+        sol = solve_rde(prob, steps=steps)
+        times, grid = reference_rde_sweep(prob, steps)
+        assert np.array_equal(sol.times, times)
+        assert np.array_equal(sol.P_grid, grid)
+
+
 def test_rde_gain_uses_current_matrix():
     sol = solve_rde(scalar_unstable_problem(t1=4.0, M=np.array([[5.0]])),
                     steps=2000)

@@ -170,6 +170,32 @@ def test_expm_semigroup_and_inverse():
 
 
 # ---------------------------------------------------------------------------
+# sampled matrices
+
+
+def reference_interp(ts, stack, t):
+    t = float(np.clip(t, ts[0], ts[-1]))
+    i = int(np.searchsorted(ts, t, side="right") - 1)
+    i = min(max(i, 0), ts.size - 2)
+    w = (t - ts[i]) / (ts[i + 1] - ts[i])
+    return (1.0 - w) * stack[i] + w * stack[i + 1]
+
+
+def test_sample_interpolant_matches_searchsorted_formula_bitwise():
+    gen = np.random.default_rng(3)
+    ts = np.array([0.0, 0.1, 0.35, 0.35000000000000003, 1.0, 2.5, 4.0])
+    stack = gen.normal(size=(ts.size, 3, 2))
+    at = numkit.sample_interpolant(ts, stack)
+    between = (ts[:-1] + ts[1:]) / 2
+    inside = gen.uniform(ts[0], ts[-1], size=50)
+    breaks = [0.35, 0.7, 1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)]
+    points = [*ts, *between, *inside, *breaks, -1.0, ts[0] - 1e-12, 4.5,
+              np.inf, -np.inf, 2, np.float64(2.5)]
+    for t in points:
+        assert np.array_equal(at(t), reference_interp(ts, stack, t)), t
+
+
+# ---------------------------------------------------------------------------
 # bases
 
 

@@ -371,6 +371,18 @@ def test_simulate_ltv_evaluates_coefficients_once_per_stage_time():
     assert np.array_equal(traj.outputs, ref.outputs)
 
 
+def test_simulate_nonlinear_evaluates_callable_input_once_per_stage_time():
+    model = NonlinearModel(f=lambda x, v, t: -x + v, h=lambda x, v, t: x,
+                           n=1, m=1, p=1)
+    u = counted(lambda t: np.array([np.sin(t)]))
+    times = np.linspace(0.0, 2.0, 21)
+    traj = simulate(model, [1.0], times, u=u, max_step=0.01)
+    steps = rk4_steps(times, 0.01)
+    # stage times plus one start per interval, then the recorded inputs
+    assert u.calls <= 2 * steps + (times.size - 1) + times.size
+    np.testing.assert_allclose(traj.inputs[:, 0], np.sin(times))
+
+
 def test_fundamental_matrix_evaluates_coefficients_once_per_stage_time():
     A_of_t, phi_exact = commutator_fixture()
     A = counted(A_of_t)

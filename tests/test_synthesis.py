@@ -1,11 +1,13 @@
 """Synthesis tests: pole placement, observers, combined compensation,
 integral action, polynomial designs."""
 
+import json
+
 import numpy as np
 import pytest
 
 from conftest import random_controllable_siso, rng, siso_system, sorted_complex
-from statespace_kit import numkit
+from statespace_kit import cli, numkit
 from statespace_kit.errors import (
     CommonFactor,
     ConjugacyViolation,
@@ -66,6 +68,24 @@ def test_place_conjugacy_violation():
                       np.array([[0.0], [1.0]]))
     with pytest.raises(ConjugacyViolation):
         place_poles(sys, [-1.0 + 1.0j, -2.0])
+
+
+@pytest.mark.parametrize("poles", [[-1.0000000001 + 1j, -1.0 - 1j],
+                                   [-1.0 + 1j, -1.0000000001 - 1j]])
+def test_place_verdict_does_not_depend_on_request_order(tmp_path, poles):
+    # a near-conjugate request: sorted by (re, im), one of its two orders
+    # paired each request with the other's mate
+    sys = state_space(np.array([[0.0, 1.0], [-2.0, -3.0]]),
+                      np.array([[0.0], [1.0]]))
+    g = place_poles(sys, poles)
+    np.testing.assert_allclose(sorted_complex(g.achieved_state_poles),
+                               [-1.0 - 1j, -1.0 + 1j], atol=1e-6)
+    doc = {"model": {"type": "lti", "A": [[0, 1], [-2, -3]], "B": [[0], [1]]},
+           "poles": [[p.real, p.imag] for p in poles]}
+    inp = tmp_path / "in.json"
+    inp.write_text(json.dumps(doc))
+    assert cli.main(["place", "--input", str(inp),
+                     "--out", str(tmp_path / "out")]) == 0
 
 
 def test_place_characteristic_polynomial_property():

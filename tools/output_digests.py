@@ -3,6 +3,8 @@
     PYTHONPATH=<tree>/src python3 tools/output_digests.py DOCS_DIR OUT_DIR
     PYTHONPATH=<tree>/src python3 tools/output_digests.py \
         --workload dense-design --seed 7 DOCS_DIR OUT_DIR
+    PYTHONPATH=<tree>/src python3 tools/output_digests.py \
+        --against OTHER_TREE DOCS_DIR OUT_DIR
 
 With --workload and --seed, DOCS_DIR is emptied first and filled with the
 benchmark documents ``perfbench/bench_docs.generate(WORKLOAD, SEED)`` of the
@@ -14,6 +16,11 @@ runs ``simulate``). The digest covers the name and bytes of every output
 file. ``report.json`` records the input and output paths, so two trees give
 comparable lines only with the same DOCS_DIR and OUT_DIR; run it once per
 tree and diff the two listings.
+
+With --against, the same DOCS_DIR and OUT_DIR are listed first for
+OTHER_TREE, in a subprocess with PYTHONPATH=OTHER_TREE/src, and then for the
+tree on this PYTHONPATH. Only the lines that differ are printed, ``-`` for
+OTHER_TREE and ``+`` for this tree, and any difference exits 1.
 """
 
 import argparse
@@ -23,6 +30,7 @@ import io
 import json
 import os
 import shutil
+import subprocess
 import sys
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
@@ -59,7 +67,7 @@ def write_documents(workload, seed, docs_dir):
             json.dump(doc.body, fh)
 
 
-def main(docs_dir, out_dir):
+def listing(docs_dir, out_dir):
     from statespace_kit import cli
 
     for fname in sorted(os.listdir(docs_dir)):
@@ -68,23 +76,43 @@ def main(docs_dir, out_dir):
             continue
         command = next((part for part in name.split("-") if part in cli.COMMANDS), None)
         if command is None:
-            print(f"{name} no-command -")
+            yield f"{name} no-command -"
             continue
         out = os.path.join(out_dir, name)
         shutil.rmtree(out, ignore_errors=True)
         rc = run(cli, [command, "--input", os.path.join(docs_dir, fname), "--out", out])
-        print(name, rc, digest(out))
+        yield f"{name} {rc} {digest(out)}"
+
+
+def against(other_tree, docs_dir, out_dir):
+    env = dict(os.environ,
+               PYTHONPATH=os.path.join(os.path.abspath(other_tree), "src"))
+    proc = subprocess.run([sys.executable, os.path.abspath(__file__), docs_dir,
+                           out_dir], env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.exit(f"listing {other_tree} failed:\n{proc.stderr[-2000:]}")
+    theirs, mine = set(proc.stdout.splitlines()), set(listing(docs_dir, out_dir))
+    differ = sorted(theirs ^ mine, key=lambda line: (line.split()[0], line in mine))
+    for line in differ:
+        print(("+ " if line in mine else "- ") + line)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", help="benchmark workload to write into DOCS_DIR")
     ap.add_argument("--seed", type=int, help="seed of those documents")
+    ap.add_argument("--against", metavar="OTHER_TREE",
+                    help="print only the lines that differ from OTHER_TREE's listing")
     ap.add_argument("docs_dir")
     ap.add_argument("out_dir")
     args = ap.parse_args()
     if (args.workload is None) != (args.seed is None):
         ap.error("--workload and --seed go together")
+    docs_dir, out_dir = os.path.abspath(args.docs_dir), os.path.abspath(args.out_dir)
     if args.workload is not None:
-        write_documents(args.workload, args.seed, os.path.abspath(args.docs_dir))
-    main(os.path.abspath(args.docs_dir), os.path.abspath(args.out_dir))
+        write_documents(args.workload, args.seed, docs_dir)
+    if args.against is not None:
+        sys.exit(against(args.against, docs_dir, out_dir))
+    for line in listing(docs_dir, out_dir):
+        print(line)
