@@ -25,6 +25,7 @@ from .errors import (
     DegeneratePencil,
     NonSquarePlant,
     SchemaError,
+    WorkBudgetExceeded,
 )
 
 if TYPE_CHECKING:
@@ -34,6 +35,21 @@ if TYPE_CHECKING:
     from .response import Trajectory
 
 _NUMBER = (int, float)
+
+# Work limits on document fields, by field name; a larger value raises
+# WorkBudgetExceeded before the work starts. The per-unit costs they are
+# sized from were timed in process on a 2-vCPU x86 host, one BLAS thread.
+LIMITS = {
+    # state dimension or polynomial degree: structural 0.17 s at n = 100,
+    # growing as n^3
+    "n": 200,
+    "samples": 100_000,  # output rows: 13-48 us each at n = 2 to 6
+    "times": 100_000,  # entries of times: 14 us each in a 6-state simulate
+    "steps": 200_000,  # RDE steps, as lqr._default_rde_steps caps them: 40-60 us
+    # r_range and omega points: 200 us a weight (srl, degree 8), 10 us a
+    # frequency (margins, n = 16)
+    "count": 10_000,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -70,12 +86,37 @@ def _optional_number(doc: dict, key: str, loc: str, default=None):
     return _number(doc[key], f"{loc}/{key}")
 
 
-def _integer(value, loc: str, minimum: int = 1) -> int:
+def _positive_number(doc: dict, key: str):
+    value = _optional_number(doc, key, "")
+    if value is not None and value <= 0:
+        _fail("positive number expected", f"/{key}")
+    return value
+
+
+def _boolean(value, loc: str) -> bool:
+    if not isinstance(value, bool):
+        _fail("boolean expected", loc)
+    return value
+
+
+def _bounded(name: str, value: int, loc: str) -> int:
+    if value > LIMITS[name]:
+        raise WorkBudgetExceeded(
+            f"{loc}: {value} is over the {name} limit of {LIMITS[name]}")
+    return value
+
+
+def _count(doc: dict, key: str, default, minimum: int, loc: str = ""):
+    """Integer doc[key] in [minimum, LIMITS[key]]; default if absent or null."""
+    value = doc.get(key)
+    if value is None:
+        return default
+    loc = f"{loc}/{key}"
     if isinstance(value, bool) or not isinstance(value, int):
         _fail("integer expected", loc)
     if value < minimum:
         _fail(f"value must be >= {minimum}", loc)
-    return value
+    return _bounded(key, value, loc)
 
 
 def _vector(value, loc: str, length: Optional[int] = None) -> np.ndarray:
@@ -133,7 +174,29 @@ def _pole_list(value, loc: str) -> List[complex]:
 
 
 def _poly(value, loc: str) -> np.ndarray:
-    return _vector(value, loc)
+    coeffs = _vector(value, loc)
+    _bounded("n", coeffs.size - 1, loc)
+    return coeffs
+
+
+def _times(value, loc: str) -> np.ndarray:
+    times = _vector(value, loc)
+    if times.size < 2 or np.any(np.diff(times) <= 0):
+        _fail("at least two strictly increasing times expected", loc)
+    _bounded("times", times.size, loc)
+    return times
+
+
+def _log_grid(spec, loc: str, lo: float, hi: float, count: int) -> np.ndarray:
+    """np.logspace over a {min, max, count} object with these defaults."""
+    if not isinstance(spec, dict):
+        _fail("object {min, max, count} expected", loc)
+    lo = _optional_number(spec, "min", loc, default=lo)
+    hi = _optional_number(spec, "max", loc, default=hi)
+    count = _count(spec, "count", count, 2, loc)
+    if lo <= 0 or hi <= lo:
+        _fail("need 0 < min < max", loc)
+    return np.logspace(np.log10(lo), np.log10(hi), count)
 
 
 def _tf_entry(value, loc: str) -> RationalFunction:
@@ -231,17 +294,22 @@ def _csv(header: List[str], rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _columns_csv(**blocks) -> str:
+    """CSV of equally long blocks in argument order: a 1-D block is one
+    column under its name, a wider one a column per trailing index,
+    numbered from 1 (x1, x2; p11, p12)."""
+    header, columns = [], []
+    for name, block in blocks.items():
+        block = np.asarray(block, dtype=float)
+        header.extend(name + "".join(str(i + 1) for i in index)
+                      for index in np.ndindex(block.shape[1:]))
+        columns.append(block.reshape(len(block), math.prod(block.shape[1:])))
+    return _csv(header, np.hstack(columns).tolist())
+
+
 def _trajectory_csv(traj: Trajectory) -> str:
-    n = traj.states.shape[1] if traj.states.ndim == 2 else 0
-    m = traj.inputs.shape[1] if traj.inputs.ndim == 2 else 0
-    p = traj.outputs.shape[1] if traj.outputs.ndim == 2 else 0
-    header = (["t"]
-              + [f"x{i + 1}" for i in range(n)]
-              + [f"u{j + 1}" for j in range(m)]
-              + [f"y{j + 1}" for j in range(p)])
-    table = np.hstack([traj.times.reshape(-1, 1), traj.states, traj.inputs,
-                       traj.outputs])
-    return _csv(header, table.tolist())
+    return _columns_csv(t=traj.times, x=traj.states, u=traj.inputs,
+                        y=traj.outputs)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +340,7 @@ def model_from_doc(doc, loc: str = ""):
     mtype = _require(doc, "type", loc)
     if mtype == "lti":
         A = _matrix(_require(doc, "A", loc), f"{loc}/A")
-        n = A.shape[0]
+        n = _bounded("n", A.shape[0], f"{loc}/A")
         if A.shape[1] != n:
             _fail("A must be square", f"{loc}/A")
         B = (_matrix(doc["B"], f"{loc}/B", rows=n)
@@ -284,13 +352,10 @@ def model_from_doc(doc, loc: str = ""):
              if doc.get("D") else np.zeros((p, m)))
         return StateSpace(A=A, B=B, C=C, D=D)
     if mtype == "ltv-samples":
-        times = _vector(_require(doc, "times", loc), f"{loc}/times")
-        if times.size < 2 or np.any(np.diff(times) <= 0):
-            _fail("times must be strictly increasing with at least two samples",
-                  f"{loc}/times")
+        times = _times(_require(doc, "times", loc), f"{loc}/times")
         k = times.size
         A = _matrix_samples(_require(doc, "A", loc), f"{loc}/A", k, None, None)
-        n = A.shape[1]
+        n = _bounded("n", A.shape[1], f"{loc}/A")
         if A.shape[2] != n:
             _fail("A samples must be square", f"{loc}/A")
         Bs = (_matrix_samples(doc["B"], f"{loc}/B", k, n, None)
@@ -340,6 +405,23 @@ def _extract_model(doc: dict):
     _fail("missing required field 'model'", "/")
 
 
+def _linear_model(doc: dict):
+    from .model import NonlinearModel
+
+    model = _extract_model(doc)
+    if isinstance(model, NonlinearModel):
+        _fail("this command requires a linear (lti or ltv-samples) model",
+              "/model/type")
+    return model
+
+
+def _weights(doc: dict, model):
+    """The state weight Q (n x n) and the input weight R (m x m)."""
+    Q = _matrix(_require(doc, "Q", "/"), "/Q", rows=model.n, cols=model.n)
+    R = _matrix(_require(doc, "R", "/"), "/R", rows=model.m, cols=model.m)
+    return Q, R
+
+
 def _lti_model(doc: dict) -> StateSpace:
     from .model import StateSpace
 
@@ -361,15 +443,13 @@ def _h_realize(doc, tol, seed):
     if form not in ("ccf", "ocf", "modal", "minimal"):
         _fail("form must be one of ccf, ocf, modal, minimal", "/form")
     G = _tf_doc(_require(doc, "transfer", "/"), "/transfer")
-    if isinstance(G, realization.TransferMatrix):
-        if form != "minimal":
-            _fail("matrix transfer input requires form 'minimal'", "/form")
+    if form == "minimal":
+        if not isinstance(G, realization.TransferMatrix):
+            G = realization.TransferMatrix(entries=((G,),))
         sys = realization.mimo_minimal_realization(
             G, rank_rtol=tol.get("rank_rtol", 1e-8))
-    elif form == "minimal":
-        sys = realization.mimo_minimal_realization(
-            realization.TransferMatrix(entries=((G,),)),
-            rank_rtol=tol.get("rank_rtol", 1e-8))
+    elif isinstance(G, realization.TransferMatrix):
+        _fail("matrix transfer input requires form 'minimal'", "/form")
     else:
         builder = {"ccf": realization.ccf, "ocf": realization.ocf,
                    "modal": realization.modal_form}[form]
@@ -390,23 +470,17 @@ def _mode_table(sys: StateSpace, mode_tol):
         StateSpace(A=sys.A.T, B=sys.C.T, C=sys.B.T, D=sys.D.T), tol=mode_tol)
 
     def keyed(report):
-        order = sorted(
-            range(len(report.eigenvalues)),
-            key=lambda i: (round(report.eigenvalues[i].real, 9),
-                           round(report.eigenvalues[i].imag, 9)))
-        return order
+        return sorted(range(len(report.eigenvalues)),
+                      key=lambda i: (round(report.eigenvalues[i].real, 9),
+                                     round(report.eigenvalues[i].imag, 9)))
 
-    fo, do = keyed(fwd), keyed(dual)
-    modes = []
-    for i, j in zip(fo, do):
-        modes.append({
-            "controllable": bool(fwd.controllable_flags[i]),
-            "eigenvalue": _c(fwd.eigenvalues[i]),
-            "inputCoupling": float(fwd.row_norms[i]),
-            "observable": bool(dual.controllable_flags[j]),
-            "outputCoupling": float(dual.row_norms[j]),
-        })
-    return modes
+    return [{
+        "controllable": bool(fwd.controllable_flags[i]),
+        "eigenvalue": _c(fwd.eigenvalues[i]),
+        "inputCoupling": float(fwd.row_norms[i]),
+        "observable": bool(dual.controllable_flags[j]),
+        "outputCoupling": float(dual.row_norms[j]),
+    } for i, j in zip(keyed(fwd), keyed(dual))]
 
 
 def _h_analyze(doc, tol, seed):
@@ -439,18 +513,17 @@ def _h_stability(doc, tol, seed):
         },
         "verdict": verdict.kind,
     }
-    warnings = []
     if verdict.kind == stability.ASYMPTOTICALLY_STABLE:
         P = stability.solve_lyapunov(sys.A, np.eye(sys.n))
         results["lyapunovP"] = _mat_out(P)
-    return results, {}, warnings
+    return results, {}, []
 
 
 def _h_structural(doc, tol, seed):
     from . import structural
-    from .model import LtvModel, StateSpace
+    from .model import StateSpace
 
-    model = _extract_model(doc)
+    model = _linear_model(doc)
     horizon = None
     if doc.get("horizon") is not None:
         pair = doc["horizon"]
@@ -485,26 +558,19 @@ def _h_structural(doc, tol, seed):
                 warnings.append("transmission zeros skipped: plant is not square")
             except DegeneratePencil:
                 warnings.append("transmission zeros skipped: degenerate pencil")
-    elif isinstance(model, LtvModel):
-        if horizon is None:
-            _fail("time-varying structural analysis requires a horizon", "/horizon")
-    else:
-        _fail("structural analysis requires a linear model", "/model/type")
+    elif horizon is None:
+        _fail("time-varying structural analysis requires a horizon", "/horizon")
+    elif np.isinf(horizon[1]):
+        _fail("an infinite horizon requires an lti model", "/horizon/1")
     if horizon is not None:
-        t0, tf = horizon
-        wrep = structural.controllability_grammian(model, t0, tf)
-        results["ctrbGrammian"] = {
-            "conditioning": float(wrep.conditioning),
-            "maxEig": float(wrep.max_eig),
-            "minEig": float(wrep.min_eig),
-        }
+        grammians = {"ctrbGrammian": structural.controllability_grammian}
         if model.p:
-            hrep = structural.observability_grammian(model, t0, tf)
-            results["obsvGrammian"] = {
-                "conditioning": float(hrep.conditioning),
-                "maxEig": float(hrep.max_eig),
-                "minEig": float(hrep.min_eig),
-            }
+            grammians["obsvGrammian"] = structural.observability_grammian
+        for key, grammian in grammians.items():
+            rep = grammian(model, *horizon)
+            results[key] = {"conditioning": float(rep.conditioning),
+                            "maxEig": float(rep.max_eig),
+                            "minEig": float(rep.min_eig)}
     return results, {}, warnings
 
 
@@ -528,7 +594,8 @@ def _h_observer(doc, tol, seed):
     sys = _lti_model(doc)
     op = _pole_list(_require(doc, "observer_poles", "/"), "/observer_poles")
     verify_tol = tol.get("verify_tol", 1e-6)
-    if doc.get("reduced"):
+    reduced = doc.get("reduced")
+    if reduced is not None and _boolean(reduced, "/reduced"):
         design = synthesis.reduced_order_observer(sys, op)
         results = {
             "L": _mat_out(design.gain),
@@ -593,17 +660,12 @@ def _h_diophantine(doc, tol, seed):
 
 def _lqr_problem(doc) -> LqrProblem:
     from .lqr import LqrProblem
-    from .model import NonlinearModel
 
-    model = _extract_model(doc)
-    if isinstance(model, NonlinearModel):
-        _fail("quadratic regulation requires a linear model", "/model/type")
-    n = model.n
-    Q = _matrix(_require(doc, "Q", "/"), "/Q", rows=n, cols=n)
-    R = _matrix(_require(doc, "R", "/"), "/R", rows=model.m, cols=model.m)
+    model = _linear_model(doc)
+    Q, R = _weights(doc, model)
     M = None
     if doc.get("M") is not None:
-        M = _matrix(doc["M"], "/M", rows=n, cols=n)
+        M = _matrix(doc["M"], "/M", rows=model.n, cols=model.n)
     t0 = _optional_number(doc, "t0", "", default=0.0)
     t1 = _optional_number(doc, "t1", "", default=None)
     try:
@@ -626,24 +688,12 @@ def _h_lqr(doc, tol, seed):
             "horizon": "infinite",
         }
         return results, files, list(sol.warnings)
-    steps = None
-    if doc.get("steps") is not None:
-        steps = _integer(doc["steps"], "/steps", minimum=1)
+    steps = _count(doc, "steps", None, 1)
+    ts = np.linspace(prob.t0, prob.t1, _count(doc, "samples", 201, 2))
     sol = lqr.solve_rde(prob, steps=steps)
-    n = sol.P_grid.shape[1]
-    samples = 201
-    if doc.get("samples") is not None:
-        samples = _integer(doc["samples"], "/samples", minimum=2)
-    ts = np.linspace(prob.t0, prob.t1, samples)
-    header = ["t"] + [f"p{i + 1}{j + 1}" for i in range(n) for j in range(n)]
-    rows = []
-    for t in ts:
-        P = sol.P_at(t)
-        rows.append([t] + [P[i, j] for i in range(n) for j in range(n)])
-    files["rde_profile.csv"] = _csv(header, rows)
-    K0 = sol.K_at(prob.t0)
+    files["rde_profile.csv"] = _columns_csv(t=ts, p=[sol.P_at(t) for t in ts])
     results = {
-        "K0": _mat_out(K0),
+        "K0": _mat_out(sol.K_at(prob.t0)),
         "P0": _mat_out(sol.P_at(prob.t0)),
         "horizon": [float(prob.t0), float(prob.t1)],
         "profile": "rde_profile.csv",
@@ -657,16 +707,7 @@ def _r_values(doc) -> np.ndarray:
         if np.any(vals <= 0):
             _fail("weights must be positive", "/r_values")
         return vals
-    spec = doc.get("r_range", {})
-    if not isinstance(spec, dict):
-        _fail("r_range must be an object", "/r_range")
-    lo = _optional_number(spec, "min", "/r_range", default=1e-2)
-    hi = _optional_number(spec, "max", "/r_range", default=1e2)
-    count = spec.get("count", 25)
-    count = _integer(count, "/r_range/count", minimum=2)
-    if lo <= 0 or hi <= lo:
-        _fail("need 0 < min < max", "/r_range")
-    return np.logspace(np.log10(lo), np.log10(hi), count)
+    return _log_grid(doc.get("r_range", {}), "/r_range", 1e-2, 1e2, 25)
 
 
 def _h_srl(doc, tol, seed):
@@ -681,11 +722,10 @@ def _h_srl(doc, tol, seed):
         plant = realization.ss_to_tf(sys).single()
     rv = _r_values(doc)
     points = lqr.symmetric_root_locus(plant, rv)
-    rows = []
-    for pt in points:
-        for z in pt.roots:
-            rows.append([pt.r, z.real, z.imag, 1.0 if z.real < 0 else 0.0])
-    files = {"srl.csv": _csv(["r", "root_re", "root_im", "stable"], rows)}
+    roots = np.concatenate([pt.roots for pt in points])
+    files = {"srl.csv": _columns_csv(
+        r=np.repeat([pt.r for pt in points], [pt.roots.size for pt in points]),
+        root_re=roots.real, root_im=roots.imag, stable=roots.real < 0)}
     results = {
         "csv": "srl.csv",
         "rCount": int(rv.size),
@@ -694,35 +734,20 @@ def _h_srl(doc, tol, seed):
     return results, files, []
 
 
-def _omegas(doc) -> Optional[np.ndarray]:
-    spec = doc.get("omega")
-    if spec is None:
-        return None
-    if not isinstance(spec, dict):
-        _fail("omega must be an object {min, max, count}", "/omega")
-    lo = _optional_number(spec, "min", "/omega", default=1e-2)
-    hi = _optional_number(spec, "max", "/omega", default=1e3)
-    count = _integer(spec.get("count", 400), "/omega/count", minimum=2)
-    if lo <= 0 or hi <= lo:
-        _fail("need 0 < min < max", "/omega")
-    return np.logspace(np.log10(lo), np.log10(hi), count)
-
-
 def _h_margins(doc, tol, seed):
     from . import lqr
 
     prob = _lqr_problem(doc)
     if not prob.infinite:
         _fail("margins are defined for the stationary design; omit t1", "/t1")
+    omegas = None
+    if doc.get("omega") is not None:
+        omegas = _log_grid(doc["omega"], "/omega", 1e-2, 1e3, 400)
     sol = lqr.solve_are(prob)
-    report = lqr.return_difference_report(sol, omegas=_omegas(doc))
-    rows = [
-        [w, rd, sv]
-        for w, rd, sv in zip(report.omegas, report.return_difference,
-                             report.sensitivity)
-    ]
-    files = {"margins.csv": _csv(
-        ["omega", "return_difference", "sensitivity"], rows)}
+    report = lqr.return_difference_report(sol, omegas=omegas)
+    files = {"margins.csv": _columns_csv(
+        omega=report.omegas, return_difference=report.return_difference,
+        sensitivity=report.sensitivity)}
     results = {
         "csv": "margins.csv",
         "identityResidual": float(report.identity_residual),
@@ -732,23 +757,16 @@ def _h_margins(doc, tol, seed):
     return results, files, list(sol.warnings)
 
 
-def _times_from_doc(doc, default_samples: int = 201) -> np.ndarray:
+def _times_from_doc(doc) -> np.ndarray:
     if doc.get("times") is not None:
-        times = _vector(doc["times"], "/times")
-        if times.size < 2 or np.any(np.diff(times) <= 0):
-            _fail("times must be strictly increasing with at least two entries",
-                  "/times")
-        return times
+        return _times(doc["times"], "/times")
     t0 = _optional_number(doc, "t0", "", default=0.0)
     t1 = _optional_number(doc, "t1", "", default=None)
     if t1 is None:
         _fail("provide either times or t0/t1", "/t1")
     if t1 <= t0:
         _fail("t1 must exceed t0", "/t1")
-    samples = default_samples
-    if doc.get("samples") is not None:
-        samples = _integer(doc["samples"], "/samples", minimum=2)
-    return np.linspace(t0, t1, samples)
+    return np.linspace(t0, t1, _count(doc, "samples", 201, 2))
 
 
 def _h_simulate(doc, tol, seed):
@@ -767,7 +785,7 @@ def _h_simulate(doc, tol, seed):
             if model.m != 1:
                 _fail(f"scalar input requires a single-input model (m={model.m})",
                       "/u")
-    max_step = _optional_number(doc, "max_step", "", default=None)
+    max_step = _positive_number(doc, "max_step")
     traj = response.simulate(model, x0, times, u=u, max_step=max_step)
     files = {"trajectory.csv": _trajectory_csv(traj)}
     results = {
@@ -783,28 +801,18 @@ def _h_simulate(doc, tol, seed):
 
 def _h_steer(doc, tol, seed):
     from . import structural
-    from .model import NonlinearModel
 
-    model = _extract_model(doc)
-    if isinstance(model, NonlinearModel):
-        _fail("steering requires a linear model", "/model/type")
+    model = _linear_model(doc)
     x0 = _vector(_require(doc, "x0", "/"), "/x0", length=model.n)
     xf = _vector(_require(doc, "xf", "/"), "/xf", length=model.n)
     t0 = _number(_require(doc, "t0", "/"), "/t0")
     tf = _number(_require(doc, "tf", "/"), "/tf")
     if tf <= t0:
         _fail("tf must exceed t0", "/tf")
-    samples = 201
-    if doc.get("samples") is not None:
-        samples = _integer(doc["samples"], "/samples", minimum=2)
-    u, traj = structural.minimum_energy_steer(model, x0, xf, t0, tf,
-                                              samples=samples)
-    m = traj.inputs.shape[1]
-    control_rows = [[traj.times[i]] + list(traj.inputs[i])
-                    for i in range(traj.times.size)]
+    u, traj = structural.minimum_energy_steer(
+        model, x0, xf, t0, tf, samples=_count(doc, "samples", 201, 2))
     files = {
-        "control.csv": _csv(["t"] + [f"u{j + 1}" for j in range(m)],
-                            control_rows),
+        "control.csv": _columns_csv(t=traj.times, u=traj.inputs),
         "trajectory.csv": _trajectory_csv(traj),
     }
     err = float(np.linalg.norm(traj.states[-1] - xf))
@@ -829,11 +837,9 @@ def _h_tpbvp(doc, tol, seed):
         prob = minprin.BilinearProblem(x0=x0, t1=t1)
         argmin = minprin.hamiltonian_residual(sol, prob)
         ts = np.linspace(0.0, t1, 401)
-        rows = []
-        for t in ts:
-            x = minprin.bilinear_state(sol, x0, t)
-            rows.append([t, x, sol.control_at(t), x])
-        files = {"trajectory.csv": _csv(["t", "x1", "u1", "y1"], rows)}
+        x = [[minprin.bilinear_state(sol, x0, t)] for t in ts]
+        u = [[sol.control_at(t)] for t in ts]
+        files = {"trajectory.csv": _columns_csv(t=ts, x=x, u=u, y=x)}
         results = {
             "cost": float(sol.cost),
             "residuals": {
@@ -848,8 +854,7 @@ def _h_tpbvp(doc, tol, seed):
         _fail("kind must be 'lq' or 'bilinear'", "/kind")
     model = _lti_model(doc)
     n = model.n
-    Q = _matrix(_require(doc, "Q", "/"), "/Q", rows=n, cols=n)
-    R = _matrix(_require(doc, "R", "/"), "/R", rows=model.m, cols=model.m)
+    Q, R = _weights(doc, model)
     x0 = _vector(_require(doc, "x0", "/"), "/x0", length=n)
     x1 = _vector(_require(doc, "x1", "/"), "/x1", length=n)
     t0 = _number(_require(doc, "t0", "/"), "/t0")
@@ -859,17 +864,13 @@ def _h_tpbvp(doc, tol, seed):
         raw = doc["endpoint_mask"]
         if not isinstance(raw, list) or len(raw) != n:
             _fail(f"endpoint_mask must list {n} booleans", "/endpoint_mask")
-        for i, b in enumerate(raw):
-            if not isinstance(b, bool):
-                _fail("boolean expected", f"/endpoint_mask/{i}")
-        mask = tuple(raw)
+        mask = tuple(_boolean(b, f"/endpoint_mask/{i}")
+                     for i, b in enumerate(raw))
     M = None
     if doc.get("terminal_penalty") is not None:
         M = _matrix(doc["terminal_penalty"], "/terminal_penalty",
                     rows=n, cols=n)
-    samples = 401
-    if doc.get("samples") is not None:
-        samples = _integer(doc["samples"], "/samples", minimum=2)
+    samples = _count(doc, "samples", 401, 2)
     try:
         prob = minprin.TpbvpProblem(sys=model, Q=Q, R=R, x0=x0, x1=x1,
                                     t0=t0, t1=t1, endpoint_mask=mask,
@@ -878,11 +879,8 @@ def _h_tpbvp(doc, tol, seed):
         _fail(str(exc), "/R")
     sol = minprin.solve_lq_tpbvp(prob, samples=samples)
     res = minprin.hamiltonian_residual(sol, prob)
-    costate_rows = [[sol.trajectory.times[i]] + list(sol.costate[i])
-                    for i in range(sol.trajectory.times.size)]
     files = {
-        "costate.csv": _csv(["t"] + [f"p{i + 1}" for i in range(n)],
-                            costate_rows),
+        "costate.csv": _columns_csv(t=sol.trajectory.times, p=sol.costate),
         "trajectory.csv": _trajectory_csv(sol.trajectory),
     }
     results = {
@@ -909,11 +907,9 @@ def _h_mintime(doc, tol, seed):
     terminal = minprin.min_time_terminal_residual(sol, x0)
     t1 = sol.terminal_time
     ts = np.linspace(0.0, t1, 401) if t1 > 0 else np.array([0.0])
-    rows = []
-    for t in ts:
-        x = minprin.min_time_state(sol, x0, t)
-        rows.append([t, x[0], x[1], sol.control_at(t), x[0]])
-    files = {"trajectory.csv": _csv(["t", "x1", "x2", "u1", "y1"], rows)}
+    x = np.array([minprin.min_time_state(sol, x0, t) for t in ts])
+    u = [[sol.control_at(t)] for t in ts]
+    files = {"trajectory.csv": _columns_csv(t=ts, x=x, u=u, y=x[:, :1])}
     results = {
         "residuals": {
             "argminViolations": len(argmin.violations),

@@ -77,8 +77,6 @@ def state_space(A, B=None, C=None, D=None) -> StateSpace:
     if B is None:
         B = np.zeros((n, 0))
     B = numkit.as_matrix(B) if np.size(B) else np.zeros((n, 0))
-    if B.shape[0] != n and B.shape[1] == n:
-        pass  # leave mis-oriented input to the validator
     if C is None:
         C = np.eye(n)
     C = numkit.as_matrix(C) if np.size(C) else np.zeros((0, n))

@@ -19,9 +19,11 @@ from .model import LtvModel, NonlinearModel, StateSpace
 
 _EPS = float(np.finfo(float).eps)
 
-# total Simpson substeps a callable-input LTI simulation may take: about 4 s
-# at the 18 us per substep measured for a 2-state model on a 2-vCPU x86 host.
-# A longer run raises WorkBudgetExceeded before it starts.
+# total Simpson substeps a callable-input LTI simulation, and total
+# fourth-order steps a time-varying or nonlinear one, may take: about 4 s at
+# the 18 us per substep, and 6 s at the 29 us per step, measured for 2-state
+# models on a 2-vCPU x86 host. A longer run raises WorkBudgetExceeded before
+# it starts.
 SUBSTEP_BUDGET = 200_000
 
 
@@ -235,12 +237,13 @@ def simulate(model, x0, times, u=None, max_step: float = None) -> Trajectory:
     A constant-coefficient model with no or a constant input is exact:
     [x; u] follows the flow of [[A, B], [0, 0]] and max_step is not used.
     With a callable input it uses the exact interval propagator and a
-    Simpson rule for the forced term, on at most SUBSTEP_BUDGET substeps in
-    all (WorkBudgetExceeded otherwise). Time-varying and nonlinear models use
+    Simpson rule for the forced term. Time-varying and nonlinear models use
     fixed-step fourth-order integration (numkit.rk4_march),
     ceil((b - a) / max_step) steps on each piece [a, b] between samples and
     breaks; that ceil is taken in floating point and can exceed the ideal
-    count by one (3 steps for a 0.02 interval at max_step 0.01). There a
+    count by one (3 steps for a 0.02 interval at max_step 0.01). Either way
+    a run over SUBSTEP_BUDGET substeps or steps in all raises
+    WorkBudgetExceeded before the first one, and max_step must be > 0. There a
     time-varying model's A(t) and B(t) and a callable input u(t) are
     evaluated once per distinct stage time, so they must be pure functions
     of t. A non-finite state or exponential stops the run early and marks
@@ -249,6 +252,8 @@ def simulate(model, x0, times, u=None, max_step: float = None) -> Trajectory:
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 2 or np.any(np.diff(times) <= 0):
         raise ValueError("times must be strictly increasing with at least two samples")
+    if max_step is not None and not max_step > 0:
+        raise ValueError("max_step must be positive")
     if isinstance(model, StateSpace):
         return _simulate_lti(model, x0, times, u, max_step)
     uf = _input_function(u, model.m)
@@ -347,10 +352,18 @@ def _march_samples(rate, coeff, x0, times, max_step, breaks) -> np.ndarray:
     x = numkit.as_vector(x0).astype(float)
     if max_step is None:
         max_step = (times[-1] - times[0]) / 2000.0
+    pieces = [[(a, b, max(1.0, np.ceil((b - a) / max_step)))
+               for a, b in _segments(times[k], times[k + 1], breaks)]
+              for k in range(times.size - 1)]
+    total = sum(steps for piece in pieces for _, _, steps in piece)
+    if total > SUBSTEP_BUDGET:
+        raise WorkBudgetExceeded(
+            f"fourth-order simulation needs {total:.3g} steps, "
+            f"over the budget of {SUBSTEP_BUDGET}")
     states = [x]
-    for k in range(times.size - 1):
-        for a, b in _segments(times[k], times[k + 1], breaks):
-            steps = max(1, int(np.ceil((b - a) / max_step)))
+    for piece in pieces:
+        for a, b, steps in piece:
+            steps = int(steps)
             for _, x, _ in numkit.rk4_march(rate, coeff, a, x, (b - a) / steps,
                                             steps):
                 if not np.isfinite(x).all():

@@ -199,7 +199,8 @@ def controllability_grammian(model, t0: float, tf: float) -> GrammianReport:
     over [0, tf - t0] by numkit.expm_gramian. tf = inf solves the Lyapunov
     equation (stability.solve_lyapunov) and requires every mode strictly
     stable.
-    Time-varying models use Simpson quadrature on 400 panels.
+    Time-varying models use Simpson quadrature on 400 panels, on a finite
+    horizon only: their transition is marched on a grid over [t0, tf].
     """
     if isinstance(model, StateSpace):
         A, B = model.A, model.B
@@ -216,18 +217,31 @@ def controllability_grammian(model, t0: float, tf: float) -> GrammianReport:
         W = numkit.expm_gramian(-A, B @ B.T, span)
         return _grammian_report(W, "controllability", (float(t0), float(tf)))
     if isinstance(model, LtvModel):
-        if float(tf) <= float(t0):
-            raise ValueError("need tf > t0")
-        from .response import fundamental_matrix_ltv
-
-        phi = fundamental_matrix_ltv(model, t0, tf)
-
-        def factor(t):
-            return phi(t0, t) @ numkit.as_matrix(model.B(t))
-
-        W = _simpson_outer(factor, t0, tf, 400)
-        return _grammian_report(W, "controllability", (float(t0), float(tf)))
+        return _ltv_controllability(model, t0, tf)[0]
     raise TypeError("expected a constant or time-varying linear model")
+
+
+def _finite_ltv_horizon(t0, tf):
+    if np.isinf(tf):
+        raise ValueError("an infinite-horizon grammian needs a constant-"
+                         "coefficient model: a time-varying transition is "
+                         "marched on a finite grid")
+    if float(tf) <= float(t0):
+        raise ValueError("need tf > t0")
+
+
+def _ltv_controllability(model: LtvModel, t0, tf):
+    """(GrammianReport, transition phi) of a time-varying model on [t0, tf]."""
+    from .response import fundamental_matrix_ltv
+
+    _finite_ltv_horizon(t0, tf)
+    phi = fundamental_matrix_ltv(model, t0, tf)
+
+    def factor(t):
+        return phi(t0, t) @ numkit.as_matrix(model.B(t))
+
+    W = _simpson_outer(factor, t0, tf, 400)
+    return _grammian_report(W, "controllability", (float(t0), float(tf))), phi
 
 
 def observability_grammian(model, t0: float, t1: float) -> GrammianReport:
@@ -250,10 +264,9 @@ def observability_grammian(model, t0: float, t1: float) -> GrammianReport:
         H = numkit.expm_gramian(A.T, C.T @ C, span)
         return _grammian_report(H, "observability", (float(t0), float(t1)))
     if isinstance(model, LtvModel):
-        if float(t1) <= float(t0):
-            raise ValueError("need t1 > t0")
         from .response import fundamental_matrix_ltv
 
+        _finite_ltv_horizon(t0, t1)
         phi = fundamental_matrix_ltv(model, t0, t1)
 
         def factor(t):
@@ -453,14 +466,18 @@ def minimum_energy_steer(model, x0, xf, t0: float, tf: float,
     phi(t0, tf) xf). For constant coefficients the trajectory is exact: x and
     the costate lambda = e^{A' (t0 - t)} eta follow the flow of
     [[A, -B B'], [0, -A']] from [x0; eta], and u = -B' lambda. Time-varying
-    models simulate the constructed control. Returns (u, trajectory); the
-    GrammianReport of W rides on the control as u.grammian.
+    models simulate the constructed control, with the transition that W was
+    built from. Returns (u, trajectory); the GrammianReport of W rides on
+    the control as u.grammian.
     """
-    from .response import fundamental_matrix_ltv, lti_trajectory, simulate
+    from .response import lti_trajectory, simulate
 
     x0 = numkit.as_vector(x0).astype(float)
     xf = numkit.as_vector(xf).astype(float)
-    rep = controllability_grammian(model, t0, tf)
+    if isinstance(model, LtvModel):
+        rep, fm = _ltv_controllability(model, t0, tf)
+    else:
+        rep = controllability_grammian(model, t0, tf)
     W = rep.matrix
     if rep.min_eig <= 1e-9 * max(rep.max_eig, 1e-300):
         raise SingularGrammian(
@@ -478,7 +495,6 @@ def minimum_energy_steer(model, x0, xf, t0: float, tf: float,
         flow = np.block([[A, -B @ B.T], [np.zeros((n, n)), -A.T]])
         z = numkit.expm_flow(flow, np.concatenate([x0, eta]), times)
         return u, lti_trajectory(model, times, z[:, :n], -(z[:, n:] @ B))
-    fm = fundamental_matrix_ltv(model, t0, tf)
     eta = np.linalg.solve(W, x0 - fm(t0, tf) @ xf)
 
     def u(t, _eta=eta):

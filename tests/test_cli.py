@@ -274,6 +274,27 @@ def test_steer_builds_the_grammian_once(tmp_path, monkeypatch):
                                  rel=1e-9)
 
 
+def test_ltv_steer_builds_the_fundamental_matrix_once(tmp_path, monkeypatch):
+    # in process; the grammian's transition also gives the control
+    from statespace_kit import cli, response
+
+    calls = []
+    real = response.fundamental_matrix_ltv
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(response, "fundamental_matrix_ltv", counted)
+    inp = write_json(tmp_path / "in.json", {
+        "model": _LTV, "x0": [0.0, 0.0], "xf": [1.0, 0.0], "t0": 0.0,
+        "tf": 1.0, "samples": 11})
+    out = tmp_path / "out"
+    assert cli.main(["steer", "--input", inp, "--out", str(out)]) == 0
+    assert calls == [(0.0, 1.0)]
+    assert read_report(out)["results"]["finalError"] <= 1e-4
+
+
 def test_stability_reports_lyapunov_beyond_thirty_states(tmp_path):
     n = 40
     A = np.random.default_rng(43).normal(size=(n, n)) / np.sqrt(n) \
@@ -819,6 +840,67 @@ def test_cold_command_loads_only_its_modules(tmp_path, command, doc):
     library = {m.split(".", 1)[1] for m in loaded - _FRONT_END}
     assert _FRONT_END <= loaded
     assert library <= COMMAND_MODULES[command]
+
+
+# documents refused by one field: (command, document, JSON pointer, limit).
+# With a limit, LIMITS[limit] is set to 3 and the run exits 1 with
+# WorkBudgetExceeded in report.json; without one it exits 2.
+_PENDULUM = {"type": "nonlinear-builtin", "name": "pendulum"}
+FIELD_CASES = [
+    ("simulate", {"model": _SS, "x0": [1.0, 0.0], "t1": 1.0, "samples": 2.5},
+     "/samples", None),
+    ("srl", {"plant": _TF, "r_range": {"count": 1}}, "/r_range/count", None),
+    ("simulate", {"model": _PENDULUM, "x0": [0.1, 0.0], "t1": 1.0,
+                  "max_step": 0}, "/max_step", None),
+    ("simulate", {"model": _LTV, "x0": [1.0, 0.0], "t1": 1.0,
+                  "max_step": -1}, "/max_step", None),
+    ("observer", {"model": _SS, "observer_poles": [-6.0, -7.0],
+                  "reduced": "false"}, "/reduced", None),
+    ("structural", {"model": _LTV, "horizon": [0.0, None]}, "/horizon/1",
+     None),
+    ("analyze", {"model": {"type": "lti", "A": np.eye(4).tolist()}},
+     "/model/A", "n"),
+    ("srl", {"plant": {"num": [1.0], "den": [1.0, 4.0, 6.0, 4.0, 1.0]}},
+     "/plant/den", "n"),
+    ("steer", {"model": _SS, "x0": [0.0, 0.0], "xf": [1.0, 0.0], "t0": 0.0,
+               "tf": 1.0, "samples": 4}, "/samples", "samples"),
+    ("simulate", {"model": _SS, "x0": [1.0, 0.0], "times": [0, 1, 2, 3]},
+     "/times", "times"),
+    ("lqr", dict(lqr_doc(), t1=1.0, steps=4), "/steps", "steps"),
+    ("margins", {"model": _SS, "Q": [[1.0, 0.0], [0.0, 0.0]], "R": [[1.0]],
+                 "omega": {"count": 4}}, "/omega/count", "count"),
+]
+
+
+@pytest.mark.parametrize("command,doc,pointer,limit", FIELD_CASES,
+                         ids=[f"{c}-{p}" for c, _, p, _ in FIELD_CASES])
+def test_refused_field_names_its_pointer(tmp_path, capsys, monkeypatch,
+                                         command, doc, pointer, limit):
+    from statespace_kit import _cliops, cli
+
+    if limit is not None:
+        monkeypatch.setitem(_cliops.LIMITS, limit, 3)
+    inp = write_json(tmp_path / "in.json", doc)
+    out = tmp_path / "out"
+    code = cli.main([command, "--input", inp, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if limit is None:
+        assert code == 2
+        assert f"error: {pointer}: " in err
+        assert not out.exists()
+    else:
+        assert code == 1
+        assert os.listdir(out) == ["report.json"]
+        error = read_report(out)["error"]
+        assert error["type"] == "WorkBudgetExceeded"
+        assert error["message"] == f"{pointer}: 4 is over the {limit} limit of 3"
+
+
+def test_every_work_limit_has_a_refusal_case():
+    from statespace_kit import _cliops
+
+    assert {case[3] for case in FIELD_CASES} - {None} == set(_cliops.LIMITS)
 
 
 # what importing each library module loads of the package, itself aside

@@ -4,7 +4,7 @@ formulas they replace."""
 import numpy as np
 
 from statespace_kit import registry
-from statespace_kit._cliops import _csv, _trajectory_csv
+from statespace_kit._cliops import _columns_csv, _csv, _trajectory_csv
 from statespace_kit.model import NonlinearModel
 from statespace_kit.response import Trajectory, simulate
 
@@ -42,6 +42,15 @@ def test_csv_matches_per_value_formatting_on_edge_values():
     ]
     assert _csv(header, rows) == reference_csv(header, rows)
     assert _csv(header, []) == reference_csv(header, [])
+
+
+def test_columns_csv_names_blocks_by_their_trailing_indices():
+    ts = np.linspace(0.0, 1.0, 4)
+    P = np.arange(16.0).reshape(4, 2, 2) - 7.5
+    header = ["t", "p11", "p12", "p21", "p22", "s", "x1"]
+    rows = [[ts[k], *P[k].ravel(), -ts[k], 2 * ts[k]] for k in range(4)]
+    assert _columns_csv(t=ts, p=P, s=-ts, x=2 * ts[:, None],
+                        u=np.zeros((4, 0))) == reference_csv(header, rows)
 
 
 def test_trajectory_csv_matches_per_value_formatting():

@@ -309,6 +309,35 @@ def test_simulate_callable_input_long_horizon_exceeds_budget():
     assert time.perf_counter() - start < 2.0
 
 
+def test_march_totals_its_steps_before_the_first(monkeypatch):
+    from statespace_kit import response
+
+    def never(*args):
+        raise AssertionError("a step ran")
+
+    times = np.linspace(0.0, 1.0, 11)
+    models = (NonlinearModel(f=never, h=never, n=1, m=0, p=1),
+              ltv_model(never, n=1, m=0, p=1, breaks=(0.55,)))
+    steps = rk4_steps(times, 0.01)
+    monkeypatch.setattr(response, "SUBSTEP_BUDGET", steps - 1)
+    for model in models:
+        with pytest.raises(WorkBudgetExceeded, match="over the budget"):
+            simulate(model, [1.0], times, max_step=0.01)
+    monkeypatch.setattr(response, "SUBSTEP_BUDGET", steps + 1)
+    good = NonlinearModel(f=lambda x, v, t: -x, h=lambda x, v, t: x,
+                          n=1, m=0, p=1)
+    traj = simulate(good, [1.0], times, max_step=0.01)
+    np.testing.assert_allclose(traj.states[:, 0], np.exp(-times), rtol=1e-8)
+
+
+@pytest.mark.parametrize("max_step", [0.0, -1.0])
+def test_simulate_refuses_a_step_that_is_not_positive(max_step):
+    model = NonlinearModel(f=lambda x, v, t: -x, h=lambda x, v, t: x,
+                           n=1, m=0, p=1)
+    with pytest.raises(ValueError, match="max_step must be positive"):
+        simulate(model, [1.0], np.linspace(0.0, 1.0, 3), max_step=max_step)
+
+
 def test_simulate_overflowing_step_truncates_without_raising():
     sys = siso_system([[1.0]], [1.0], [1.0])
     for u in (None, [0.5]):

@@ -22,7 +22,7 @@ from statespace_kit.errors import (
     Uncontrollable,
     Unobservable,
 )
-from statespace_kit.model import StateSpace, state_space
+from statespace_kit.model import StateSpace, ltv_model, state_space
 from statespace_kit.realization import ccf, minimality, rational, ss_to_tf
 from statespace_kit.registry import builtin_model
 from statespace_kit.structural import (
@@ -293,6 +293,15 @@ def test_ctrb_grammian_uncontrollable_is_singular():
     rep = controllability_grammian(sys, 0.0, 2.0)
     assert rep.min_eig <= 1e-12
     assert rep.conditioning == np.inf
+
+
+def test_ltv_grammians_refuse_an_infinite_horizon():
+    model = ltv_model(lambda t: np.array([[-1.0, t], [0.0, -2.0]]),
+                      B=lambda t: np.array([[0.0], [1.0]]),
+                      C=lambda t: np.array([[1.0, 0.0]]), n=2, m=1, p=1)
+    for grammian in (controllability_grammian, observability_grammian):
+        with pytest.raises(ValueError, match="constant-coefficient model"):
+            grammian(model, 0.0, np.inf)
 
 
 def test_grammian_range_equals_reachable_subspace():
