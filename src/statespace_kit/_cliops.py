@@ -40,14 +40,16 @@ _NUMBER = (int, float)
 # WorkBudgetExceeded before the work starts. The per-unit costs they are
 # sized from were timed in process on a 2-vCPU x86 host, one BLAS thread.
 LIMITS = {
-    # state dimension or polynomial degree: structural 0.17 s at n = 100,
+    # state dimension or polynomial degree: structural 0.16 s at n = 100,
     # growing as n^3
     "n": 200,
-    "samples": 100_000,  # output rows: 13-48 us each at n = 2 to 6
-    "times": 100_000,  # entries of times: 14 us each in a 6-state simulate
-    "steps": 200_000,  # RDE steps, as lqr._default_rde_steps caps them: 40-60 us
-    # r_range and omega points: 200 us a weight (srl, degree 8), 10 us a
-    # frequency (margins, n = 16)
+    "samples": 100_000,  # output rows: 5-9 us each at n = 2 to 6
+    # entries of times in a 6-state simulate: 8-13 us each on an even grid,
+    # 95-135 us when every spacing differs (one exponential each)
+    "times": 100_000,
+    "steps": 200_000,  # RDE steps, as lqr._default_rde_steps caps them: 41-57 us
+    # r_range and omega points: 220-290 us a weight (srl, degree 8), 11-15 us
+    # a frequency (margins, n = 16)
     "count": 10_000,
 }
 
@@ -563,11 +565,8 @@ def _h_structural(doc, tol, seed):
     elif np.isinf(horizon[1]):
         _fail("an infinite horizon requires an lti model", "/horizon/1")
     if horizon is not None:
-        grammians = {"ctrbGrammian": structural.controllability_grammian}
-        if model.p:
-            grammians["obsvGrammian"] = structural.observability_grammian
-        for key, grammian in grammians.items():
-            rep = grammian(model, *horizon)
+        for key, rep in zip(("ctrbGrammian", "obsvGrammian"),
+                            structural.grammians(model, *horizon)):
             results[key] = {"conditioning": float(rep.conditioning),
                             "maxEig": float(rep.max_eig),
                             "minEig": float(rep.min_eig)}
@@ -691,7 +690,7 @@ def _h_lqr(doc, tol, seed):
     steps = _count(doc, "steps", None, 1)
     ts = np.linspace(prob.t0, prob.t1, _count(doc, "samples", 201, 2))
     sol = lqr.solve_rde(prob, steps=steps)
-    files["rde_profile.csv"] = _columns_csv(t=ts, p=[sol.P_at(t) for t in ts])
+    files["rde_profile.csv"] = _columns_csv(t=ts, p=sol.P_at(ts))
     results = {
         "K0": _mat_out(sol.K_at(prob.t0)),
         "P0": _mat_out(sol.P_at(prob.t0)),

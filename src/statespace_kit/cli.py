@@ -162,12 +162,21 @@ def _report_text(report: dict) -> str:
 
 
 def _write_outputs(outdir: str, report: dict, files: Dict[str, str]) -> None:
+    """Write each file to a temporary name in outdir and rename it into
+    place, report.json last: a reader sees whole files only, and a run that
+    stops part-way leaves no report.json of its own."""
     os.makedirs(outdir, exist_ok=True)
-    for name in sorted(files):
-        with open(os.path.join(outdir, name), "w", newline="") as fh:
-            fh.write(files[name])
-    with open(os.path.join(outdir, "report.json"), "w", newline="") as fh:
-        fh.write(_report_text(report))
+    texts = [(name, files[name]) for name in sorted(files)]
+    texts.append(("report.json", _report_text(report)))
+    for name, text in texts:
+        temp = os.path.join(outdir, f".{name}.{os.getpid()}.tmp")
+        try:
+            with open(temp, "w", newline="") as fh:
+                fh.write(text)
+            os.replace(temp, os.path.join(outdir, name))
+        finally:
+            if os.path.lexists(temp):
+                os.remove(temp)
 
 
 def main(argv=None) -> int:

@@ -79,6 +79,8 @@ class RiccatiSolution:
         return numkit.sample_interpolant(self.times, self.P_grid)
 
     def P_at(self, t: float) -> np.ndarray:
+        """P(t); on the finite horizon also the stack of P at a 1-D array
+        of times, interpolated as numkit.sample_interpolant does."""
         if self.kind == "infinite":
             return self.P_bar
         return self._P_of_t(t)
@@ -146,7 +148,7 @@ def solve_rde(prob: LqrProblem, steps: int = None) -> RiccatiSolution:
     grid = [M.astype(float)]
     for t, P, _ in numkit.rk4_march(rate, coeffs, prob.t1, grid[0], -h, steps,
                                     settle=lambda P: 0.5 * (P + P.T)):
-        if not np.isfinite(P).all() or float(np.linalg.norm(P)) > escape:
+        if not np.linalg.norm(P) <= escape:  # escaped, or not finite
             raise FiniteEscape(f"solution escaped near t = {t:.6g}")
         times.append(t)
         grid.append(P)

@@ -237,19 +237,25 @@ def expm_flow(M, z0, times) -> np.ndarray:
     M = require_square(M)
     z = as_vector(z0)
     rows = [z]
-    steps: dict[float, np.ndarray] = {}
-    for dt in np.diff(np.asarray(times, dtype=float)):
-        key = float(f"{dt:.11e}")
-        if key not in steps:
-            try:
-                steps[key] = expm(M, dt)
-            except Overflow:
-                break
-        z = steps[key] @ z
-        if not np.isfinite(z).all():
-            break
-        rows.append(z)
-    return np.array(rows)
+    by_key: dict[float, np.ndarray] = {}
+    by_dt: dict[float, np.ndarray] = {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for dt in np.diff(np.asarray(times, dtype=float)).tolist():
+            E = by_dt.get(dt)
+            if E is None:
+                key = float(f"{dt:.11e}")
+                if key not in by_key:
+                    try:
+                        by_key[key] = expm(M, dt)
+                    except Overflow:
+                        break
+                E = by_dt[dt] = by_key[key]
+            z = E @ z
+            rows.append(z)
+    rows = np.array(rows)
+    # z0 is finite, so a cut keeps row 0
+    finite = np.isfinite(rows).all(axis=1)
+    return rows if finite.all() else rows[:int(np.argmin(finite))]
 
 
 def expm_gramian(A, Q, t: float) -> np.ndarray:
@@ -300,28 +306,52 @@ def rk4_march(rate, coeff, t, y, h, steps, *, start=None, settle=None):
         k2 = rate(y + h2 * k1, mid)
         k3 = rate(y + h2 * k2, mid)
         k4 = rate(y + h * k3, end)
-        y = y + h6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        y = y + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if settle is not None:
             y = settle(y)
         t, c = t + h, end
         yield t, y, c
 
 
+def rk4_stage_times(t, h, steps) -> list:
+    """The times rk4_march(rate, coeff, t, y, h, steps) calls coeff at, in
+    order and formed by the same floating-point operations."""
+    h2 = h / 2
+    out = [t]
+    for _ in range(steps):
+        out.append(t + h2)
+        t = t + h
+        out.append(t)
+    return out
+
+
 def sample_interpolant(times, samples):
     """Piecewise-linear function of t through samples[k] at increasing times[k].
 
     t is clamped into [times[0], times[-1]] and then weighted as
-    (1 - w) samples[i] + w samples[i + 1], the ends included.
+    (1 - w) samples[i] + w samples[i + 1], the ends included. Given a 1-D
+    array of times, the function returns the stack of its values at them,
+    computed by the same operations on each element; its attribute
+    vectorized tells it from callables that take one time only.
     """
-    ts = np.asarray(times, dtype=float).tolist()
-    last = len(ts) - 2
+    ts = np.asarray(times, dtype=float)
+    samples = np.asarray(samples)
+    tl = ts.tolist()
+    last = len(tl) - 2
+    trailing = (1,) * (samples.ndim - 1)
 
     def at(t):
-        t = min(max(float(t), ts[0]), ts[-1])
-        i = min(bisect.bisect_right(ts, t) - 1, last)
-        w = (t - ts[i]) / (ts[i + 1] - ts[i])
+        if isinstance(t, np.ndarray) and t.ndim == 1:
+            t = np.minimum(np.maximum(t.astype(float), tl[0]), tl[-1])
+            i = np.minimum(np.searchsorted(ts, t, side="right") - 1, last)
+            w = ((t - ts[i]) / (ts[i + 1] - ts[i])).reshape(-1, *trailing)
+            return (1.0 - w) * samples[i] + w * samples[i + 1]
+        t = min(max(float(t), tl[0]), tl[-1])
+        i = min(bisect.bisect_right(tl, t) - 1, last)
+        w = (t - tl[i]) / (tl[i + 1] - tl[i])
         return (1.0 - w) * samples[i] + w * samples[i + 1]
 
+    at.vectorized = True
     return at
 
 

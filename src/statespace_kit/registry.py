@@ -51,7 +51,8 @@ def _pendulum(params: Optional[Mapping[str, float]]) -> NonlinearModel:
     m, g, l = p["m"], p["g"], p["l"]
 
     def f(x: np.ndarray, u: np.ndarray, t: float) -> np.ndarray:
-        return np.array([x[1], -(g / (m * l)) * math.sin(x[0]) + u[0]])
+        angle, rate = x.tolist()
+        return np.array([rate, -(g / (m * l)) * math.sin(angle) + u[0]])
 
     def h(x: np.ndarray, u: np.ndarray, t: float) -> np.ndarray:
         return np.array([x[0]])
@@ -63,7 +64,10 @@ def _vanderpol(params: Optional[Mapping[str, float]]) -> NonlinearModel:
     _params(params, {}, "vanderpol")
 
     def f(x: np.ndarray, u: np.ndarray, t: float) -> np.ndarray:
-        return np.array([x[1], -(1.0 - x[0] ** 2) * x[1] - x[0]])
+        # the square stays a numpy power: it overflows to inf where a
+        # float power raises OverflowError
+        x1, x2 = x.tolist()
+        return np.array([x2, -(1.0 - x[0] ** 2) * x2 - x1])
 
     def h(x: np.ndarray, u: np.ndarray, t: float) -> np.ndarray:
         return np.array([x[0]])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -18,12 +19,14 @@ from .errors import (
 from .model import LtvModel, NonlinearModel, StateSpace
 
 _EPS = float(np.finfo(float).eps)
+_FLOAT = np.dtype(float)
 
 # total Simpson substeps a callable-input LTI simulation, and total
-# fourth-order steps a time-varying or nonlinear one, may take: about 4 s at
-# the 18 us per substep, and 6 s at the 29 us per step, measured for 2-state
-# models on a 2-vCPU x86 host. A longer run raises WorkBudgetExceeded before
-# it starts.
+# fourth-order steps a time-varying or nonlinear one, may take: about 3-4 s
+# at the 15-18 us per substep, and at the 16-19 us per step of the pendulum,
+# vanderpol and a sampled time-varying model, measured for 2-state models on
+# a 2-vCPU x86 host, one BLAS thread. A longer run raises WorkBudgetExceeded
+# before it starts.
 SUBSTEP_BUDGET = 200_000
 
 
@@ -246,8 +249,10 @@ def simulate(model, x0, times, u=None, max_step: float = None) -> Trajectory:
     WorkBudgetExceeded before the first one, and max_step must be > 0. There a
     time-varying model's A(t) and B(t) and a callable input u(t) are
     evaluated once per distinct stage time, so they must be pure functions
-    of t. A non-finite state or exponential stops the run early and marks
-    the result truncated.
+    of t; sampled A and B (numkit.sample_interpolant) under a constant input
+    are interpolated for a whole table of stage times in one call. A
+    non-finite state or exponential stops the run early and marks the
+    result truncated.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 2 or np.any(np.diff(times) <= 0):
@@ -266,11 +271,28 @@ def simulate(model, x0, times, u=None, max_step: float = None) -> Trajectory:
             return (numkit.as_matrix(model.C(t)) @ x
                     + numkit.as_matrix(model.D(t)) @ v)
 
+        block = None
+        if (getattr(model.A, "vectorized", False)
+                and getattr(model.B, "vectorized", False) and not callable(u)):
+            held = uf(times[0])
+
+            def block(ts):
+                As, Bs = model.A(ts), model.B(ts)
+                if np.isfinite(As).all() and np.isfinite(Bs).all():
+                    return list(zip(As, Bs @ held))
+                return None
+
         states = _march_samples(lambda x, c: c[0] @ x + c[1], coeff, x0, times,
-                                max_step, model.piecewise_continuity_breaks)
+                                max_step, model.piecewise_continuity_breaks,
+                                block)
     elif isinstance(model, NonlinearModel):
+        shape = (model.n,)
+
         def rate(x, c):
-            return np.asarray(model.f(x, *c), dtype=float).reshape(model.n)
+            r = model.f(x, *c)
+            if type(r) is np.ndarray and r.dtype is _FLOAT and r.shape == shape:
+                return r
+            return np.asarray(r, dtype=float).reshape(shape)
 
         output = model.h
         states = _march_samples(rate, lambda t: (uf(t), t), x0, times,
@@ -345,10 +367,18 @@ def _simulate_lti(sys: StateSpace, x0, times, u, max_step):
     return lti_trajectory(sys, times, np.array(states), inputs)
 
 
-def _march_samples(rate, coeff, x0, times, max_step, breaks) -> np.ndarray:
+def _march_samples(rate, coeff, x0, times, max_step, breaks,
+                   block=None) -> np.ndarray:
     """States at the samples by fourth-order steps on each piece between
     samples and breaks; fewer rows than times when the state left the
-    finite range."""
+    finite range.
+
+    block, when given, maps a 1-D array of stage times to the list of coeff
+    values at them, or to None when one is not finite. The march then reads
+    its coefficients from one such table per block of stage times, and
+    from coeff itself from a None block on, so that coeff raises where the
+    march reaches a stage it cannot take.
+    """
     x = numkit.as_vector(x0).astype(float)
     if max_step is None:
         max_step = (times[-1] - times[0]) / 2000.0
@@ -360,13 +390,45 @@ def _march_samples(rate, coeff, x0, times, max_step, breaks) -> np.ndarray:
         raise WorkBudgetExceeded(
             f"fourth-order simulation needs {total:.3g} steps, "
             f"over the budget of {SUBSTEP_BUDGET}")
+    pieces = [[(a, (b - a) / int(steps), int(steps)) for a, b, steps in piece]
+              for piece in pieces]
+    if block is not None:
+        coeff = _tabled(coeff, block, pieces, x.size)
     states = [x]
     for piece in pieces:
-        for a, b, steps in piece:
-            steps = int(steps)
-            for _, x, _ in numkit.rk4_march(rate, coeff, a, x, (b - a) / steps,
-                                            steps):
-                if not np.isfinite(x).all():
+        for a, h, steps in piece:
+            for _, x, _ in numkit.rk4_march(rate, coeff, a, x, h, steps):
+                # x.x is finite only if x is; it also overflows for some
+                # finite x, and then the entries decide
+                if not (math.isfinite(x.dot(x)) or np.isfinite(x).all()):
                     return np.array(states)
         states.append(x)
     return np.array(states)
+
+
+def _tabled(coeff, block, pieces, n):
+    """coeff, read from tables that block builds for the stage times of the
+    pieces, about 1 MB of n x n coefficients per table."""
+    rows = max(1, (1 << 17) // (n * n + 1))
+    stages = [t for piece in pieces for a, h, steps in piece
+              for t in numkit.rk4_stage_times(a, h, steps)]
+
+    def tables():
+        for i in range(0, len(stages), rows):
+            chunk = stages[i:i + rows]
+            values = block(np.array(chunk))
+            if values is None:
+                break
+            yield dict(zip(chunk, values))
+        yield None
+
+    pending = tables()
+    table = {}
+
+    def lookup(t):
+        nonlocal table
+        while table is not None and t not in table:
+            table = next(pending)
+        return coeff(t) if table is None else table[t]
+
+    return lookup

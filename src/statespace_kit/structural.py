@@ -217,31 +217,37 @@ def controllability_grammian(model, t0: float, tf: float) -> GrammianReport:
         W = numkit.expm_gramian(-A, B @ B.T, span)
         return _grammian_report(W, "controllability", (float(t0), float(tf)))
     if isinstance(model, LtvModel):
-        return _ltv_controllability(model, t0, tf)[0]
+        return _ltv_controllability(model, t0, tf, _ltv_transition(model, t0, tf))
     raise TypeError("expected a constant or time-varying linear model")
 
 
-def _finite_ltv_horizon(t0, tf):
+def _ltv_transition(model: LtvModel, t0, tf):
+    """The transition of a time-varying model, marched on [t0, tf]."""
+    from .response import fundamental_matrix_ltv
+
     if np.isinf(tf):
         raise ValueError("an infinite-horizon grammian needs a constant-"
                          "coefficient model: a time-varying transition is "
                          "marched on a finite grid")
     if float(tf) <= float(t0):
         raise ValueError("need tf > t0")
+    return fundamental_matrix_ltv(model, t0, tf)
 
 
-def _ltv_controllability(model: LtvModel, t0, tf):
-    """(GrammianReport, transition phi) of a time-varying model on [t0, tf]."""
-    from .response import fundamental_matrix_ltv
-
-    _finite_ltv_horizon(t0, tf)
-    phi = fundamental_matrix_ltv(model, t0, tf)
-
+def _ltv_controllability(model: LtvModel, t0, tf, phi) -> GrammianReport:
     def factor(t):
         return phi(t0, t) @ numkit.as_matrix(model.B(t))
 
     W = _simpson_outer(factor, t0, tf, 400)
-    return _grammian_report(W, "controllability", (float(t0), float(tf))), phi
+    return _grammian_report(W, "controllability", (float(t0), float(tf)))
+
+
+def _ltv_observability(model: LtvModel, t0, t1, phi) -> GrammianReport:
+    def factor(t):
+        return phi(t, t0).T @ numkit.as_matrix(model.C(t)).T
+
+    H = _simpson_outer(factor, t0, t1, 400)
+    return _grammian_report(H, "observability", (float(t0), float(t1)))
 
 
 def observability_grammian(model, t0: float, t1: float) -> GrammianReport:
@@ -264,17 +270,24 @@ def observability_grammian(model, t0: float, t1: float) -> GrammianReport:
         H = numkit.expm_gramian(A.T, C.T @ C, span)
         return _grammian_report(H, "observability", (float(t0), float(t1)))
     if isinstance(model, LtvModel):
-        from .response import fundamental_matrix_ltv
-
-        _finite_ltv_horizon(t0, t1)
-        phi = fundamental_matrix_ltv(model, t0, t1)
-
-        def factor(t):
-            return phi(t, t0).T @ numkit.as_matrix(model.C(t)).T
-
-        H = _simpson_outer(factor, t0, t1, 400)
-        return _grammian_report(H, "observability", (float(t0), float(t1)))
+        return _ltv_observability(model, t0, t1, _ltv_transition(model, t0, t1))
     raise TypeError("expected a constant or time-varying linear model")
+
+
+def grammians(model, t0: float, tf: float) -> tuple:
+    """The controllability grammian on [t0, tf] and, when the model has an
+    output, the observability grammian. A time-varying model marches its
+    transition once for both."""
+    if not isinstance(model, LtvModel):
+        reports = (controllability_grammian(model, t0, tf),)
+        if model.p:
+            reports += (observability_grammian(model, t0, tf),)
+        return reports
+    phi = _ltv_transition(model, t0, tf)
+    reports = (_ltv_controllability(model, t0, tf, phi),)
+    if model.p:
+        reports += (_ltv_observability(model, t0, tf, phi),)
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +488,8 @@ def minimum_energy_steer(model, x0, xf, t0: float, tf: float,
     x0 = numkit.as_vector(x0).astype(float)
     xf = numkit.as_vector(xf).astype(float)
     if isinstance(model, LtvModel):
-        rep, fm = _ltv_controllability(model, t0, tf)
+        fm = _ltv_transition(model, t0, tf)
+        rep = _ltv_controllability(model, t0, tf, fm)
     else:
         rep = controllability_grammian(model, t0, tf)
     W = rep.matrix

@@ -295,6 +295,67 @@ def test_ltv_steer_builds_the_fundamental_matrix_once(tmp_path, monkeypatch):
     assert read_report(out)["results"]["finalError"] <= 1e-4
 
 
+def test_ltv_structural_builds_the_fundamental_matrix_once(tmp_path, monkeypatch):
+    # in process; both grammians integrate along one marched transition
+    from statespace_kit import cli, response
+
+    calls = []
+    real = response.fundamental_matrix_ltv
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(response, "fundamental_matrix_ltv", counted)
+    inp = write_json(tmp_path / "in.json", {"model": _LTV, "horizon": [0.0, 1.0]})
+    out = tmp_path / "out"
+    assert cli.main(["structural", "--input", inp, "--out", str(out)]) == 0
+    assert calls == [(0.0, 1.0)]
+    results = read_report(out)["results"]
+    assert results["ctrbGrammian"]["minEig"] > 0
+    assert results["obsvGrammian"]["minEig"] > 0
+
+
+def test_outputs_are_renamed_into_place_with_the_report_last(tmp_path, monkeypatch):
+    from statespace_kit import cli
+
+    placed = []
+    real = os.replace
+
+    def recorded(src, dst):
+        assert os.path.dirname(src) == os.path.dirname(dst)
+        placed.append(os.path.basename(dst))
+        real(src, dst)
+
+    monkeypatch.setattr(os, "replace", recorded)
+    inp = write_json(tmp_path / "in.json", {
+        "model": _LTV, "x0": [0.0, 0.0], "xf": [1.0, 0.0], "t0": 0.0,
+        "tf": 1.0, "samples": 11})
+    out = tmp_path / "out"
+    assert cli.main(["steer", "--input", inp, "--out", str(out)]) == 0
+    assert placed == ["control.csv", "trajectory.csv", "report.json"]
+    assert sorted(os.listdir(out)) == sorted(placed)
+
+
+def test_a_failed_write_leaves_no_temporary_file(tmp_path, monkeypatch):
+    from statespace_kit import cli
+
+    real = os.replace
+
+    def fail_on_report(src, dst):
+        if dst.endswith("report.json"):
+            raise OSError("disk full")
+        real(src, dst)
+
+    monkeypatch.setattr(os, "replace", fail_on_report)
+    inp = write_json(tmp_path / "in.json", {"model": _SS, "x0": [1.0, 0.0],
+                                            "t1": 1.0, "samples": 5})
+    out = tmp_path / "out"
+    with pytest.raises(OSError, match="disk full"):
+        cli.main(["simulate", "--input", inp, "--out", str(out)])
+    assert os.listdir(out) == ["trajectory.csv"]
+
+
 def test_stability_reports_lyapunov_beyond_thirty_states(tmp_path):
     n = 40
     A = np.random.default_rng(43).normal(size=(n, n)) / np.sqrt(n) \

@@ -157,6 +157,26 @@ def test_expm_flow_stops_at_overflow():
     np.testing.assert_allclose(z[:, 0], np.exp([0.0, 1.0, 2.0]), rtol=1e-13)
 
 
+def test_expm_flow_keeps_the_rows_a_step_by_step_loop_keeps():
+    # the state overflows mid-march although the one exponential is finite
+    M = np.array([[0.5, 1.0], [0.0, 0.7]])
+    times = np.arange(0.0, 2000.0, 2.0)
+    E = numkit.expm(M, 2.0)
+    for z0 in ([1.0, -2.0], [1e300, 1e300], [1e308, 1e308]):
+        rows = [np.array(z0)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in times[1:]:
+                z = E @ rows[-1]
+                if not np.isfinite(z).all():
+                    break
+                rows.append(z)
+        z = numkit.expm_flow(M, z0, times)
+        assert 1 <= z.shape[0] < times.size
+        assert np.array_equal(z, np.array(rows))
+    # a first step that overflows keeps row 0 alone
+    assert numkit.expm_flow(M, [1e308, 1e308], times).shape == (1, 2)
+
+
 def test_expm_semigroup_and_inverse():
     gen = rng(3)
     for _ in range(5):
@@ -193,6 +213,11 @@ def test_sample_interpolant_matches_searchsorted_formula_bitwise():
               np.inf, -np.inf, 2, np.float64(2.5)]
     for t in points:
         assert np.array_equal(at(t), reference_interp(ts, stack, t)), t
+    # the array form: one vectorized pass, the same bits per point
+    values = at(np.array(points, dtype=float))
+    assert values.shape == (len(points), 3, 2)
+    for t, value in zip(points, values):
+        assert np.array_equal(value, reference_interp(ts, stack, t)), t
 
 
 # ---------------------------------------------------------------------------

@@ -400,6 +400,75 @@ def test_simulate_ltv_evaluates_coefficients_once_per_stage_time():
     assert np.array_equal(traj.outputs, ref.outputs)
 
 
+def sampled_ltv(gen, n, m, p, knots, breaks=()):
+    times = np.linspace(0.0, 2.0, knots)
+    A = [np.diag(-gen.uniform(0.3, 1.5, n)) + 0.3 * gen.standard_normal((n, n))
+         for _ in times]
+    stacks = (np.array(A), gen.standard_normal((knots, n, m)),
+              gen.standard_normal((knots, p, n)), gen.standard_normal((knots, p, m)))
+    return ltv_model(*(numkit.sample_interpolant(times, S) for S in stacks),
+                     n=n, m=m, p=p, breaks=breaks)
+
+
+def scalar_only(model):
+    """The same model through callables that take one time at a time."""
+    return ltv_model(*(lambda t, f=f: f(t) for f in (model.A, model.B, model.C,
+                                                      model.D)),
+                     n=model.n, m=model.m, p=model.p,
+                     breaks=model.piecewise_continuity_breaks)
+
+
+# 64 states make 31 stage times a table, so the march crosses many tables
+@pytest.mark.parametrize("n, m", [(3, 2), (64, 2)])
+def test_sampled_ltv_simulate_matches_the_scalar_march_bitwise(n, m):
+    gen = rng(11)
+    model = sampled_ltv(gen, n, m, 2, 6, breaks=(0.7, 1.3))
+    x0, u = gen.standard_normal(n), gen.uniform(-1.0, 1.0, m)
+    times = np.linspace(0.0, 2.0, 41)
+    ref = simulate(scalar_only(model), x0, times, u=u, max_step=0.01)
+    shapes = []
+
+    def spy(t, _A=model.A):
+        shapes.append(np.shape(t))
+        return _A(t)
+
+    spy.vectorized = True
+    model = ltv_model(spy, model.B, model.C, model.D, n=n, m=m, p=2,
+                      breaks=model.piecewise_continuity_breaks)
+    traj = simulate(model, x0, times, u=u, max_step=0.01)
+    # A(t) came in tables only: one for 3 states, many for 64
+    assert shapes and all(len(shape) == 1 for shape in shapes)
+    assert (len(shapes) == 1) == (n == 3)
+    assert not traj.truncated
+    for field in ("times", "states", "inputs", "outputs"):
+        assert np.array_equal(getattr(traj, field), getattr(ref, field)), field
+
+
+@pytest.mark.parametrize("n", [1, 64])
+def test_sampled_ltv_with_a_non_finite_sample_stops_where_the_scalar_march_does(n):
+    # from t = 2 on every coefficient is non-finite; a growing state leaves
+    # the finite range before that, a decaying one reaches it and raises
+    knots = np.array([0.0, 1.0, 2.0, 3.0])
+    times = np.linspace(0.0, 3.0, 31)
+    B = numkit.sample_interpolant(knots, np.ones((4, n, 1)))
+    for rate in (-1.0, 800.0):
+        samples = np.array([rate * np.eye(n)] * 3 + [np.full((n, n), np.inf)])
+        model = ltv_model(numkit.sample_interpolant(knots, samples), B, n=n)
+        outcomes = []
+        for variant in (model, scalar_only(model)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                try:
+                    outcomes.append(simulate(variant, np.ones(n), times, u=[0.5],
+                                             max_step=0.01).states)
+                except ValueError as exc:
+                    outcomes.append(str(exc))
+        if rate < 0:
+            assert outcomes == ["matrix entries must be finite"] * 2
+        else:
+            assert 1 < len(outcomes[0]) < times.size
+            assert np.array_equal(outcomes[0], outcomes[1])
+
+
 def test_simulate_nonlinear_evaluates_callable_input_once_per_stage_time():
     model = NonlinearModel(f=lambda x, v, t: -x + v, h=lambda x, v, t: x,
                            n=1, m=1, p=1)
