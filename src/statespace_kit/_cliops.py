@@ -44,10 +44,13 @@ LIMITS = {
     # growing as n^3
     "n": 200,
     "samples": 100_000,  # output rows: 5-9 us each at n = 2 to 6
-    # entries of times in a 6-state simulate: 8-13 us each on an even grid,
-    # 95-135 us when every spacing differs (one exponential each)
+    # entries of times in a 6-state simulate: 6-8 us each on an even grid,
+    # 78-115 us when every spacing differs (one exponential each, which
+    # numkit.EXPM_FLOW_BUDGET bounds)
     "times": 100_000,
-    "steps": 200_000,  # RDE steps, as lqr._default_rde_steps caps them: 41-57 us
+    "steps": 200_000,  # RDE steps, as lqr._default_rde_steps caps them: 21-42 us
+    # values of rde_profile.csv, samples x n^2: 0.6-0.85 us each at n = 6 to 30
+    "profile": 4_000_000,
     # r_range and omega points: 220-290 us a weight (srl, degree 8), 11-15 us
     # a frequency (margins, n = 16)
     "count": 10_000,
@@ -688,7 +691,9 @@ def _h_lqr(doc, tol, seed):
         }
         return results, files, list(sol.warnings)
     steps = _count(doc, "steps", None, 1)
-    ts = np.linspace(prob.t0, prob.t1, _count(doc, "samples", 201, 2))
+    samples = _count(doc, "samples", 201, 2)
+    _bounded("profile", samples * prob.sys.n ** 2, "/samples")
+    ts = np.linspace(prob.t0, prob.t1, samples)
     sol = lqr.solve_rde(prob, steps=steps)
     files["rde_profile.csv"] = _columns_csv(t=ts, p=sol.P_at(ts))
     results = {

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -17,12 +18,21 @@ from .errors import (
     NotStabilizable,
     RepeatedHamiltonianEigenvalues,
     StableSpaceDefect,
+    WorkBudgetExceeded,
 )
 from .model import StateSpace
 from .structural import structural_analysis
 
 if TYPE_CHECKING:
     from .realization import RationalFunction
+
+
+# steps x n^3 one backward Riccati sweep may take: its 16 n x n products
+# cost 0.8-1 ns a step per unit of n^3 at n = 60 to 200 and 2.3 ns at
+# n = 30, so a sweep at the budget runs about 2-5 s (timed in process on a
+# 2-vCPU x86 host, one BLAS thread). Below about n = 20 the steps limit of
+# _default_rde_steps and of the CLI binds first.
+RDE_BUDGET = 2_000_000_000
 
 
 @dataclass(frozen=True)
@@ -118,7 +128,9 @@ def solve_rde(prob: LqrProblem, steps: int = None) -> RiccatiSolution:
     Fixed-step fourth-order integration (numkit.rk4_march) on a uniform
     grid, resymmetrized every step; entries running away to infinity raise
     with the escape time instead of returning garbage. The weight
-    B R^-1 B' is formed once for a constant-coefficient model.
+    B R^-1 B' is formed once for a constant-coefficient model. A sweep of
+    more than RDE_BUDGET steps x n^3 raises WorkBudgetExceeded before the
+    first step.
     """
     if prob.infinite:
         raise ValueError("finite horizon required")
@@ -126,6 +138,10 @@ def solve_rde(prob: LqrProblem, steps: int = None) -> RiccatiSolution:
     M = prob.M if prob.M is not None else np.zeros((n, n))
     if steps is None:
         steps = _default_rde_steps(prob)
+    if steps * n**3 > RDE_BUDGET:
+        raise WorkBudgetExceeded(
+            f"Riccati sweep of {steps} steps at n = {n} is "
+            f"{steps * n**3} steps x n^3, over the budget of {RDE_BUDGET}")
     h = (prob.t1 - prob.t0) / steps
     Rinv = np.linalg.solve(prob.R, np.eye(prob.R.shape[0]))
     escape = 1e12 * (1.0 + float(np.linalg.norm(M) + np.linalg.norm(prob.Q)))
@@ -140,15 +156,18 @@ def solve_rde(prob: LqrProblem, steps: int = None) -> RiccatiSolution:
     else:
         coeffs = weights
 
+    Q = prob.Q
+
     def rate(P, c):  # dP/dt = -(Q + PA + A'P - PSP), negated exactly
         A, S = c
-        return P @ S @ P - (prob.Q + P @ A + A.T @ P)
+        return P.dot(S).dot(P) - (Q + P.dot(A) + A.T.dot(P))
 
     times = [prob.t1]
     grid = [M.astype(float)]
     for t, P, _ in numkit.rk4_march(rate, coeffs, prob.t1, grid[0], -h, steps,
                                     settle=lambda P: 0.5 * (P + P.T)):
-        if not np.linalg.norm(P) <= escape:  # escaped, or not finite
+        v = P.ravel(order="K")  # np.linalg.norm(P) is sqrt(v.v)
+        if not math.sqrt(v.dot(v)) <= escape:  # escaped, or not finite
             raise FiniteEscape(f"solution escaped near t = {t:.6g}")
         times.append(t)
         grid.append(P)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -329,15 +330,20 @@ def _lq_residuals(sol: TpbvpSolution, prob: TpbvpProblem) -> HamiltonianResidual
     X = sol.trajectory.states
     Lam = sol.costate
     U = sol.control
+    # np.linalg.norm(r) is sqrt(r.r); the products stay one row at a time,
+    # as stacked products round differently
+    dt = (t[2:] - t[:-2])[:, None]
+    dX = (X[2:] - X[:-2]) / dt
+    dL = (Lam[2:] - Lam[:-2]) / dt
     sr = cr = st = 0.0
     for k in range(1, t.size - 1):
-        dt = t[k + 1] - t[k - 1]
-        dx = (X[k + 1] - X[k - 1]) / dt
-        dl = (Lam[k + 1] - Lam[k - 1]) / dt
-        sr = max(sr, float(np.linalg.norm(dx - (A @ X[k] + B @ U[k]))))
-        cr = max(cr, float(np.linalg.norm(dl + prob.Q @ X[k] + A.T @ Lam[k])))
+        r = dX[k - 1] - (A.dot(X[k]) + B.dot(U[k]))
+        sr = max(sr, math.sqrt(r.dot(r)))
+        r = dL[k - 1] + prob.Q.dot(X[k]) + A.T.dot(Lam[k])
+        cr = max(cr, math.sqrt(r.dot(r)))
     for k in range(t.size):
-        st = max(st, float(np.linalg.norm(prob.R @ U[k] + B.T @ Lam[k])))
+        r = prob.R.dot(U[k]) + B.T.dot(Lam[k])
+        st = max(st, math.sqrt(r.dot(r)))
     return HamiltonianResiduals(state_residual=sr, costate_residual=cr,
                                 stationarity_residual=st)
 
@@ -367,16 +373,18 @@ def _min_time_argmin(sol, prob, u_grid):
         u_grid = np.linspace(-1.0, 1.0, 21)
     if sol.terminal_time == 0.0:
         return ArgminReport(violations=(), samples=0, max_gap_to_switch=0.0)
-    times = np.linspace(0.0, sol.terminal_time, 201)
+    # Python floats: the same double operations without numpy's dispatch
+    us = np.asarray(u_grid, dtype=float).tolist()
+    times = np.linspace(0.0, sol.terminal_time, 201).tolist()
     bad = []
     for t in times:
-        x = min_time_state(sol, prob.x0, t)
-        p = min_time_costate(sol, t)
-        hvals = [1.0 + p[0] * x[1] + p[1] * u for u in u_grid]
+        x = min_time_state(sol, prob.x0, t).tolist()
+        p = min_time_costate(sol, t).tolist()
+        hvals = [1.0 + p[0] * x[1] + p[1] * u for u in us]
         u_star = sol.control_at(t)
         h_star = 1.0 + p[0] * x[1] + p[1] * u_star
         if h_star > min(hvals) + 1e-9 * (1.0 + abs(h_star)):
-            bad.append(float(t))
+            bad.append(t)
     gap = max((abs(t - s) for t in bad for s in sol.switching_times), default=0.0)
-    return ArgminReport(violations=tuple(bad), samples=times.size,
+    return ArgminReport(violations=tuple(bad), samples=len(times),
                         max_gap_to_switch=gap)

@@ -22,11 +22,11 @@ _EPS = float(np.finfo(float).eps)
 _FLOAT = np.dtype(float)
 
 # total Simpson substeps a callable-input LTI simulation, and total
-# fourth-order steps a time-varying or nonlinear one, may take: about 3-4 s
-# at the 15-18 us per substep, and at the 16-19 us per step of the pendulum,
+# fourth-order steps a time-varying or nonlinear one, may take: about 2-5 s
+# at the 11-21 us per substep, and at the 13-26 us per step of the pendulum,
 # vanderpol and a sampled time-varying model, measured for 2-state models on
-# a 2-vCPU x86 host, one BLAS thread. A longer run raises WorkBudgetExceeded
-# before it starts.
+# a shared 2-vCPU x86 host, one BLAS thread. A longer run raises
+# WorkBudgetExceeded before it starts.
 SUBSTEP_BUDGET = 200_000
 
 
@@ -174,11 +174,11 @@ def fundamental_matrix_ltv(
     dUs = [start @ Us[0]]
     for a, b in _segments(t0, t1, model.piecewise_continuity_breaks):
         steps = max(2, int(np.ceil((b - a) / max_step)))
-        for t, U, At in numkit.rk4_march(lambda U, At: At @ U, A, a, Us[-1],
+        for t, U, At in numkit.rk4_march(lambda U, At: At.dot(U), A, a, Us[-1],
                                          (b - a) / steps, steps, start=start):
             ts.append(t)
             Us.append(U)
-            dUs.append(At @ U)
+            dUs.append(At.dot(U))
         start = None
     table = _HermiteTable(ts, Us, dUs)
 
@@ -267,9 +267,13 @@ def simulate(model, x0, times, u=None, max_step: float = None) -> Trajectory:
             return (numkit.as_matrix(model.A(t)),
                     numkit.as_matrix(model.B(t)) @ uf(t))
 
-        def output(x, v, t):
-            return (numkit.as_matrix(model.C(t)) @ x
-                    + numkit.as_matrix(model.D(t)) @ v)
+        if (getattr(model.C, "vectorized", False)
+                and getattr(model.D, "vectorized", False)):
+            output = None  # rows by the block, in _sampled_outputs
+        else:
+            def output(x, v, t):
+                return (numkit.as_matrix(model.C(t)) @ x
+                        + numkit.as_matrix(model.D(t)) @ v)
 
         block = None
         if (getattr(model.A, "vectorized", False)
@@ -282,7 +286,7 @@ def simulate(model, x0, times, u=None, max_step: float = None) -> Trajectory:
                     return list(zip(As, Bs @ held))
                 return None
 
-        states = _march_samples(lambda x, c: c[0] @ x + c[1], coeff, x0, times,
+        states = _march_samples(lambda x, c: c[0].dot(x) + c[1], coeff, x0, times,
                                 max_step, model.piecewise_continuity_breaks,
                                 block)
     elif isinstance(model, NonlinearModel):
@@ -302,12 +306,29 @@ def simulate(model, x0, times, u=None, max_step: float = None) -> Trajectory:
     kept = states.shape[0]
     tkeep = times[:kept]
     inputs = np.array([uf(t) for t in tkeep]).reshape(kept, model.m)
-    outputs = np.array(
-        [np.asarray(output(states[i], inputs[i], tkeep[i]), dtype=float)
-         .reshape(model.p) for i in range(kept)]
-    ).reshape(kept, model.p)
+    if output is None:
+        rows = _sampled_outputs(model, states, inputs, tkeep)
+    else:
+        rows = [np.asarray(output(states[i], inputs[i], tkeep[i]), dtype=float)
+                .reshape(model.p) for i in range(kept)]
+    outputs = np.array(rows).reshape(kept, model.p)
     return Trajectory(times=tkeep, states=states, inputs=inputs, outputs=outputs,
                       truncated=kept < times.size)
+
+
+def _sampled_outputs(model: LtvModel, states, inputs, times) -> list:
+    """Output rows C(t) x + D(t) v of a model whose C and D take arrays of
+    times: each stack is interpolated and tested once per block of about
+    1 MB, raising as numkit.as_matrix does, and each row is
+    C.dot(x) + D.dot(v), the bits of the per-time path's C @ x + D @ v."""
+    rows = max(1, (1 << 17) // (model.p * (model.n + model.m) + 1))
+    out = []
+    for i in range(0, len(times), rows):
+        ts = times[i:i + rows]
+        Cs, Ds = numkit.as_matrix(model.C(ts)), numkit.as_matrix(model.D(ts))
+        out += [C.dot(x) + D.dot(v) for C, D, x, v
+                in zip(Cs, Ds, states[i:i + rows], inputs[i:i + rows])]
+    return out
 
 
 def lti_trajectory(sys: StateSpace, times, states, inputs) -> Trajectory:

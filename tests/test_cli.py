@@ -928,6 +928,9 @@ FIELD_CASES = [
     ("simulate", {"model": _SS, "x0": [1.0, 0.0], "times": [0, 1, 2, 3]},
      "/times", "times"),
     ("lqr", dict(lqr_doc(), t1=1.0, steps=4), "/steps", "steps"),
+    ("lqr", {"model": {"type": "lti", "A": [[-1.0]], "B": [[1.0]]},
+             "Q": [[1.0]], "R": [[1.0]], "t1": 1.0, "samples": 4},
+     "/samples", "profile"),
     ("margins", {"model": _SS, "Q": [[1.0, 0.0], [0.0, 0.0]], "R": [[1.0]],
                  "omega": {"count": 4}}, "/omega/count", "count"),
 ]
@@ -962,6 +965,55 @@ def test_every_work_limit_has_a_refusal_case():
     from statespace_kit import _cliops
 
     assert {case[3] for case in FIELD_CASES} - {None} == set(_cliops.LIMITS)
+
+
+# budgets on products of fields: (command, document, module, budget, value,
+# message); value is the budget that lets the document through
+PRODUCT_CASES = [
+    ("lqr", dict(lqr_doc(), t1=1.0, steps=50, samples=11), "lqr",
+     "RDE_BUDGET", 50 * 2**3,
+     "Riccati sweep of 50 steps at n = 2 is 400 steps x n^3, over the budget "
+     "of 399"),
+    ("lqr", dict(lqr_doc(), t1=1.0, steps=50, samples=11), "_cliops",
+     "profile", 11 * 2**2, "/samples: 44 is over the profile limit of 43"),
+    ("simulate", {"model": _SS, "x0": [1.0, 0.0], "times": [0, 0.1, 0.3, 0.6]},
+     "numkit", "EXPM_FLOW_BUDGET", 3,
+     "exact flow of a 3-row matrix needs 3 matrix exponentials, one per "
+     "distinct step, over the budget of 2"),
+]
+
+
+@pytest.mark.parametrize("command,doc,module,budget,value,message",
+                         PRODUCT_CASES, ids=[c[3] for c in PRODUCT_CASES])
+def test_product_budgets_refuse_before_the_work(tmp_path, monkeypatch, command,
+                                                doc, module, budget, value,
+                                                message):
+    import importlib
+
+    from statespace_kit import cli, numkit
+
+    def never(*args, **kwargs):
+        raise AssertionError("the work started")
+
+    def run_with(allowed):
+        if module == "_cliops":
+            monkeypatch.setitem(owner.LIMITS, budget, allowed)
+        else:
+            monkeypatch.setattr(owner, budget, allowed)
+        out = tmp_path / f"out{allowed}"
+        return cli.main([command, "--input", inp, "--out", str(out)]), out
+
+    inp = write_json(tmp_path / "in.json", doc)
+    owner = importlib.import_module(f"statespace_kit.{module}")
+    assert run_with(value)[0] == 0
+    # one below, the document is refused before any step or exponential
+    monkeypatch.setattr(numkit, "rk4_march", never)
+    monkeypatch.setattr(numkit, "expm", never)
+    code, out = run_with(value - 1)
+    assert code == 1
+    error = read_report(out)["error"]
+    assert error["type"] == "WorkBudgetExceeded"
+    assert error["message"] == message
 
 
 # what importing each library module loads of the package, itself aside

@@ -16,6 +16,7 @@ from statespace_kit.errors import (
     NotDetectable,
     NotStabilizable,
     StableSpaceDefect,
+    WorkBudgetExceeded,
 )
 from statespace_kit.lqr import (
     LqrProblem,
@@ -314,6 +315,24 @@ def test_rde_sweep_matches_reference_loop_bitwise():
         times, grid = reference_rde_sweep(prob, steps)
         assert np.array_equal(sol.times, times)
         assert np.array_equal(sol.P_grid, grid)
+
+
+def test_rde_sweep_totals_its_work_before_the_first_step(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a step ran")
+
+    prob = LqrProblem(two_input_problem().sys, Q=np.eye(2), R=np.eye(2),
+                      t1=1.0)
+    default = lqr_module._default_rde_steps(prob)
+    real = numkit.rk4_march
+    for steps, work in ((70, 70 * 8), (None, default * 8)):
+        monkeypatch.setattr(numkit, "rk4_march", never)
+        monkeypatch.setattr(lqr_module, "RDE_BUDGET", work - 1)
+        with pytest.raises(WorkBudgetExceeded, match=f" is {work} steps x n"):
+            solve_rde(prob, steps=steps)
+        monkeypatch.setattr(numkit, "rk4_march", real)
+        monkeypatch.setattr(lqr_module, "RDE_BUDGET", work)
+        assert solve_rde(prob, steps=steps).times.size == (steps or default) + 1
 
 
 def test_rde_gain_uses_current_matrix():

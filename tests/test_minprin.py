@@ -124,6 +124,39 @@ def test_tpbvp_residual_report():
     assert worse.stationarity_residual >= 0.009
 
 
+def reference_lq_residuals(sol, prob):
+    # the residual loop written with @ and np.linalg.norm
+    A, B = prob.sys.A, prob.sys.B
+    t, X = sol.trajectory.times, sol.trajectory.states
+    Lam, U = sol.costate, sol.control
+    sr = cr = st = 0.0
+    for k in range(1, t.size - 1):
+        dt = t[k + 1] - t[k - 1]
+        dx = (X[k + 1] - X[k - 1]) / dt
+        dl = (Lam[k + 1] - Lam[k - 1]) / dt
+        sr = max(sr, float(np.linalg.norm(dx - (A @ X[k] + B @ U[k]))))
+        cr = max(cr, float(np.linalg.norm(dl + prob.Q @ X[k] + A.T @ Lam[k])))
+    for k in range(t.size):
+        st = max(st, float(np.linalg.norm(prob.R @ U[k] + B.T @ Lam[k])))
+    return sr, cr, st
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (4, 2), (6, 3)])
+def test_lq_residuals_match_the_reference_loop_bitwise(n, m):
+    gen = rng(40 + n)
+    A = gen.standard_normal((n, n)) / np.sqrt(n)
+    G = gen.standard_normal((n, n))
+    prob = TpbvpProblem(sys=state_space(A, gen.standard_normal((n, m))),
+                        Q=G @ G.T / n, R=np.diag(gen.uniform(0.5, 2.0, m)),
+                        x0=gen.standard_normal(n), x1=gen.standard_normal(n),
+                        t0=0.0, t1=1.5)
+    sol = solve_lq_tpbvp(prob, samples=int(gen.integers(50, 400)))
+    for variant in (sol, dataclasses.replace(sol, control=sol.control + 0.01)):
+        res = hamiltonian_residual(variant, prob)
+        assert (res.state_residual, res.costate_residual,
+                res.stationarity_residual) == reference_lq_residuals(variant, prob)
+
+
 def test_tpbvp_free_endpoint_matches_riccati_sweep():
     sys = state_space(np.array([[0.0, 1.0], [0.0, -1.0]]),
                       np.array([[0.0], [1.0]]))
@@ -260,6 +293,42 @@ def test_min_time_argmin_clean():
     sol = solve_double_integrator_min_time([1.0, 0.0])
     rep = hamiltonian_residual(sol, MinTimeProblem(x0=np.array([1.0, 0.0])))
     assert rep.violations == ()
+
+
+def reference_min_time_argmin(sol, x0, u_grid):
+    # the grid check on numpy scalars, one sample at a time
+    times = np.linspace(0.0, sol.terminal_time, 201)
+    bad = []
+    for t in times:
+        x = min_time_state(sol, x0, t)
+        p = min_time_costate(sol, t)
+        hvals = [1.0 + p[0] * x[1] + p[1] * u for u in u_grid]
+        u_star = sol.control_at(t)
+        h_star = 1.0 + p[0] * x[1] + p[1] * u_star
+        if h_star > min(hvals) + 1e-9 * (1.0 + abs(h_star)):
+            bad.append(float(t))
+    gap = max((abs(t - s) for t in bad for s in sol.switching_times), default=0.0)
+    return ArgminReport(violations=tuple(bad), samples=times.size,
+                        max_gap_to_switch=gap)
+
+
+def test_min_time_argmin_matches_the_reference_loop_bitwise():
+    gen = rng(12)
+    grids = (np.linspace(-1.0, 1.0, 21), [-1, 0, 1], gen.uniform(-1.0, 1.0, 7))
+    starts = ([[1.0, 0.0], [-0.5, 1.0], [0.5, -1.0]]
+              + gen.uniform(-3, 3, (5, 2)).tolist())
+    violated = 0
+    for x0 in starts:
+        sol = solve_double_integrator_min_time(x0)
+        # a costate that switches early breaks the argmin property
+        early = dataclasses.replace(sol, switching_times=tuple(
+            0.8 * s for s in sol.switching_times))
+        for variant in (sol, early):
+            for u_grid in grids:
+                rep = hamiltonian_residual(variant, MinTimeProblem(x0=x0), u_grid)
+                assert rep == reference_min_time_argmin(variant, x0, u_grid)
+                violated += len(rep.violations) > 0
+    assert violated >= len(starts)
 
 
 def test_min_time_beats_slower_feasible_run():

@@ -3,7 +3,12 @@ import pytest
 
 from conftest import golden_phi_2m3, random_stable_diagonalizable, rng
 from statespace_kit import numkit
-from statespace_kit.errors import NonSquare, NotSymmetric, SingularBasis
+from statespace_kit.errors import (
+    NonSquare,
+    NotSymmetric,
+    SingularBasis,
+    WorkBudgetExceeded,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +180,78 @@ def test_expm_flow_keeps_the_rows_a_step_by_step_loop_keeps():
         assert np.array_equal(z, np.array(rows))
     # a first step that overflows keeps row 0 alone
     assert numkit.expm_flow(M, [1e308, 1e308], times).shape == (1, 2)
+
+
+def reference_expm(A, t):
+    # the scaled-and-squared series written with @ and np.linalg.norm
+    n = A.shape[0]
+    X = A * float(t)
+    norm = float(np.linalg.norm(X, ord=np.inf))
+    squarings = 0
+    if norm > 0.5:
+        squarings = int(np.ceil(np.log2(norm / 0.5)))
+        X = X / (2.0**squarings)
+    term = np.eye(n)
+    total = np.eye(n)
+    for k in range(1, 60):
+        term = term @ X / k
+        total = total + term
+        if float(np.linalg.norm(term, ord=np.inf)) <= np.finfo(float).eps * float(
+            np.linalg.norm(total, ord=np.inf)
+        ):
+            break
+    for _ in range(squarings):
+        total = total @ total
+    return total, squarings
+
+
+def reference_expm_flow(M, z0, times):
+    # one exponential per 12-digit step, each state by E @ z
+    rows, by_key = [np.asarray(z0, dtype=float)], {}
+    for dt in np.diff(times).tolist():
+        key = float(f"{dt:.11e}")
+        if key not in by_key:
+            by_key[key] = reference_expm(M, dt)[0]
+        rows.append(by_key[key] @ rows[-1])
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("n", range(1, 31))
+def test_expm_and_its_flow_match_the_reference_loops_bitwise(n):
+    gen = rng(300 + n)
+    A = gen.standard_normal((n, n)) / np.sqrt(n) - 0.5 * np.eye(n)
+    small = 0.4 / float(np.abs(A).sum(axis=1).max())
+    counts = set()
+    for t in (small, -small / 3, 0.9, 7.0, -2.5):
+        ref, squarings = reference_expm(A, t)
+        counts.add(squarings > 0)
+        assert np.array_equal(numkit.expm(A, t), ref)
+    assert counts == {False, True}
+    # repeated spacings in the last bits, and a few distinct ones
+    times = np.cumsum(np.concatenate([[0.0], gen.choice([0.1, 0.25, 1.5], 40)]))
+    z0 = gen.standard_normal(n)
+    assert np.array_equal(numkit.expm_flow(A, z0, times),
+                          reference_expm_flow(A, z0, times))
+
+
+def test_expm_flow_counts_its_exponentials_before_the_first(monkeypatch):
+    def never(*args):
+        raise AssertionError("an exponential ran")
+
+    real = numkit.expm
+    # five distinct floats, three 12-digit steps: 0.1, 0.15 and 0.05
+    times = [0.0, 0.1, 0.2, 0.35, 0.5, 0.55, 0.6]
+    assert len(set(np.diff(times).tolist())) == 5
+    for M, budget in ((np.array([[0.0, 1.0], [-2.0, -3.0]]), 3),
+                      (-np.eye(64), 3 * 8)):  # 64 rows count 8 times each
+        z0 = np.ones(M.shape[0])
+        monkeypatch.setattr(numkit, "expm", never)
+        monkeypatch.setattr(numkit, "EXPM_FLOW_BUDGET", budget - 1)
+        with pytest.raises(WorkBudgetExceeded, match="needs 3 matrix exponentials"):
+            numkit.expm_flow(M, z0, times)
+        monkeypatch.setattr(numkit, "expm", real)
+        monkeypatch.setattr(numkit, "EXPM_FLOW_BUDGET", budget)
+        assert numkit.expm_flow(M, z0, times).shape == (7, M.shape[0])
 
 
 def test_expm_semigroup_and_inverse():

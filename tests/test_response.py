@@ -420,9 +420,9 @@ def scalar_only(model):
 
 # 64 states make 31 stage times a table, so the march crosses many tables
 @pytest.mark.parametrize("n, m", [(3, 2), (64, 2)])
-def test_sampled_ltv_simulate_matches_the_scalar_march_bitwise(n, m):
+def test_sampled_ltv_simulate_matches_the_scalar_march_bitwise(n, m, p=2):
     gen = rng(11)
-    model = sampled_ltv(gen, n, m, 2, 6, breaks=(0.7, 1.3))
+    model = sampled_ltv(gen, n, m, p, 6, breaks=(0.7, 1.3))
     x0, u = gen.standard_normal(n), gen.uniform(-1.0, 1.0, m)
     times = np.linspace(0.0, 2.0, 41)
     ref = simulate(scalar_only(model), x0, times, u=u, max_step=0.01)
@@ -433,7 +433,7 @@ def test_sampled_ltv_simulate_matches_the_scalar_march_bitwise(n, m):
         return _A(t)
 
     spy.vectorized = True
-    model = ltv_model(spy, model.B, model.C, model.D, n=n, m=m, p=2,
+    model = ltv_model(spy, model.B, model.C, model.D, n=n, m=m, p=p,
                       breaks=model.piecewise_continuity_breaks)
     traj = simulate(model, x0, times, u=u, max_step=0.01)
     # A(t) came in tables only: one for 3 states, many for 64
@@ -466,6 +466,43 @@ def test_sampled_ltv_with_a_non_finite_sample_stops_where_the_scalar_march_does(
             assert outcomes == ["matrix entries must be finite"] * 2
         else:
             assert 1 < len(outcomes[0]) < times.size
+            assert np.array_equal(outcomes[0], outcomes[1])
+
+
+def test_sampled_ltv_outputs_across_blocks_match_the_scalar_path_bitwise():
+    # 64 outputs of 64 states make 31 output rows a block, so 41 rows cross two
+    test_sampled_ltv_simulate_matches_the_scalar_march_bitwise(64, 2, p=64)
+
+
+@pytest.mark.parametrize("n", [1, 64])
+@pytest.mark.parametrize("field", ["C", "D"])
+def test_sampled_ltv_outputs_with_a_non_finite_sample_match_the_scalar_path(
+        n, field):
+    # C or D is non-finite from t = 2 on: a decaying state reaches it and
+    # raises on both paths, a growing one stops before it and both agree
+    knots = np.array([0.0, 1.0, 2.0, 3.0])
+    times = np.linspace(0.0, 3.0, 31)
+    gen = rng(17)
+    stacks = {"B": gen.standard_normal((4, n, 1)),
+              "C": gen.standard_normal((4, 2, n)),
+              "D": gen.standard_normal((4, 2, 1))}
+    stacks[field][3] = np.inf
+    B, C, D = (numkit.sample_interpolant(knots, stacks[k]) for k in "BCD")
+    for rate in (-1.0, 800.0):
+        A = numkit.sample_interpolant(knots, np.array([rate * np.eye(n)] * 4))
+        model = ltv_model(A, B, C, D, n=n, m=1, p=2)
+        outcomes = []
+        for variant in (model, scalar_only(model)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                try:
+                    outcomes.append(simulate(variant, np.ones(n), times, u=[0.5],
+                                             max_step=0.01).outputs)
+                except ValueError as exc:
+                    outcomes.append(str(exc))
+        if rate < 0:
+            assert outcomes == ["matrix entries must be finite"] * 2
+        else:
+            assert 1 < len(outcomes[0]) < 21
             assert np.array_equal(outcomes[0], outcomes[1])
 
 
