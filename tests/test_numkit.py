@@ -252,6 +252,10 @@ def test_expm_flow_counts_its_exponentials_before_the_first(monkeypatch):
         monkeypatch.setattr(numkit, "expm", real)
         monkeypatch.setattr(numkit, "EXPM_FLOW_BUDGET", budget)
         assert numkit.expm_flow(M, z0, times).shape == (7, M.shape[0])
+    # even grids of any length count a few steps
+    monkeypatch.setattr(numkit, "EXPM_FLOW_BUDGET", 10)
+    for times in (np.linspace(0.0, 7.3, 99_999), np.linspace(0.0, 1e3, 100_001)):
+        assert numkit.expm_flow(-np.eye(1), [1.0], times).shape == (times.size, 1)
 
 
 def test_expm_semigroup_and_inverse():
