@@ -911,7 +911,7 @@ def _h_mintime(doc, tol, seed):
     terminal = minprin.min_time_terminal_residual(sol, x0)
     t1 = sol.terminal_time
     ts = np.linspace(0.0, t1, 401) if t1 > 0 else np.array([0.0])
-    x = np.array([minprin.min_time_state(sol, x0, t) for t in ts])
+    x = minprin.min_time_states(sol, x0, ts)
     u = [[sol.control_at(t)] for t in ts]
     files = {"trajectory.csv": _columns_csv(t=ts, x=x, u=u, y=x[:, :1])}
     results = {

@@ -253,8 +253,21 @@ def solve_double_integrator_min_time(x0) -> BangBangSolution:
 
 
 def min_time_state(sol: BangBangSolution, x0, t: float) -> np.ndarray:
-    x1, x2 = (float(v) for v in np.asarray(x0, dtype=float).reshape(2))
-    pos, vel, now = x1, x2, 0.0
+    return min_time_states(sol, x0, (t,))[0]
+
+
+def min_time_states(sol: BangBangSolution, x0, times) -> np.ndarray:
+    """The state at each of times, one row per time; x0 is read once."""
+    x1, x2 = _start(x0)
+    return np.array([_min_time_march(sol, x1, x2, t) for t in times])
+
+
+def _start(x0):
+    return tuple(float(v) for v in np.asarray(x0, dtype=float).reshape(2))
+
+
+def _min_time_march(sol, pos, vel, t):
+    now = 0.0
     for (a, b, u) in sol.control_pieces:
         dt = min(t, b) - now
         if dt <= 0:
@@ -264,7 +277,7 @@ def min_time_state(sol: BangBangSolution, x0, t: float) -> np.ndarray:
         now += dt
         if now >= t:
             break
-    return np.array([pos, vel])
+    return [pos, vel]
 
 
 def min_time_costate(sol: BangBangSolution, t: float) -> np.ndarray:
@@ -376,9 +389,10 @@ def _min_time_argmin(sol, prob, u_grid):
     # Python floats: the same double operations without numpy's dispatch
     us = np.asarray(u_grid, dtype=float).tolist()
     times = np.linspace(0.0, sol.terminal_time, 201).tolist()
+    x1, x2 = _start(prob.x0)
     bad = []
     for t in times:
-        x = min_time_state(sol, prob.x0, t).tolist()
+        x = _min_time_march(sol, x1, x2, t)
         p = min_time_costate(sol, t).tolist()
         hvals = [1.0 + p[0] * x[1] + p[1] * u for u in us]
         u_star = sol.control_at(t)

@@ -98,8 +98,6 @@ def staircase(A, B, tol: float = None) -> Staircase:
 
 @dataclass(frozen=True)
 class StructuralReport:
-    ctrb_matrix: np.ndarray
-    obsv_matrix: np.ndarray
     ctrb_rank: int
     obsv_rank: int
     uncontrollable_modes: tuple
@@ -128,8 +126,6 @@ def structural_analysis(sys: StateSpace, tol: float = None) -> StructuralReport:
     stabilizable = all(z.real < -band for z in unc)
     detectable = all(z.real < -band for z in unob)
     return StructuralReport(
-        ctrb_matrix=controllability_matrix(A, B),
-        obsv_matrix=observability_matrix(A, C),
         ctrb_rank=ctrb.rank,
         obsv_rank=obsv.rank,
         uncontrollable_modes=unc,
@@ -432,39 +428,80 @@ class ZeroSet:
 
 
 def transmission_zeros(sys: StateSpace, tol: float = 1e-8) -> ZeroSet:
-    """Finite generalized eigenvalues of the system pencil for square plants."""
+    """Finite zeros of the system pencil [[A - zI, B], [C, D]] of a square plant.
+
+    The pencil is reduced as Emami-Naeini & Van Dooren (Automatica 18(4),
+    1982) do, with orthogonal SVD compressions and no QZ step. Each pass
+    rotates the outputs so that the rows of D beyond its rank vanish; the
+    output rows C2 that are left without feedthrough then pin rank(C2)
+    state directions to zero, and the pass removes them, which deflates one
+    layer of infinite zeros. When D reaches full row rank it is square and
+    regular (the pass keeps p = m), and the zeros are the eigenvalues of
+    A_f - B_f D_f^{-1} C_f. A regular D needs no pass: the zeros are those
+    of A - B D^{-1} C.
+
+    Exact power-of-two input and output scalings first bring B and C to the
+    scale of A, and no further when that would lift D above it. Every rank
+    decision then counts a singular value when it exceeds tol times the
+    1-norm of the scaled [[A, B], [C, D]], so the zeros scale with A and do
+    not change under input and output scaling. Output rows with no
+    feedthrough and no state rank to pin vanish from the pencil, which then
+    loses rank at every z: DegeneratePencil. Each zero must also leave the
+    scaled pencil's smallest singular value within 1e-6 of its largest.
+    Zeros are sorted by (real, imag).
+    """
     if sys.p != sys.m:
         raise NonSquarePlant(f"plant is {sys.p}x{sys.m}; zeros need p = m")
-    n, m = sys.n, sys.m
-    M = np.block([[sys.A, sys.B], [-sys.C, -sys.D]])
-    N = np.zeros_like(M)
-    N[:n, :n] = np.eye(n)
-    import scipy.linalg  # deferred: see stability.solve_lyapunov
-
-    w = scipy.linalg.eig(M, N, right=False, homogeneous_eigvals=True)
-    alpha = np.asarray(w[0]).reshape(-1)
-    beta = np.asarray(w[1]).reshape(-1)
-    scale = float(np.max(np.abs(alpha), initial=0.0)
-                  + np.max(np.abs(beta), initial=0.0))
-    if scale == 0.0:
-        raise DegeneratePencil("system pencil is identically singular")
-    # a degenerate pencil shows up as alpha = beta = 0 pairs
-    tiny = 1e-12 * scale
-    if np.any((np.abs(alpha) <= tiny) & (np.abs(beta) <= tiny)):
-        raise DegeneratePencil("system pencil is identically singular")
-    finite = np.abs(beta) > tol * max(1.0, scale)
-    zeros = alpha[finite] / beta[finite]
+    A, B, C, D = _balanced_io(sys)
+    S = np.block([[A, B], [C, D]])
+    cut = tol * float(np.abs(S).sum(axis=0).max(initial=0.0))
+    while True:
+        U, s, Vt = np.linalg.svd(D)
+        r = int(np.count_nonzero(s > cut))
+        if r == D.shape[0]:
+            break
+        C = U.T @ C
+        _, sc, Wt = np.linalg.svd(C[r:])
+        rho = int(np.count_nonzero(sc > cut))
+        if rho < D.shape[0] - r:
+            raise DegeneratePencil(
+                "system pencil is identically singular: "
+                f"{D.shape[0] - r - rho} of its rows vanish")
+        W = Wt[::-1].T  # the last rho state directions are the pinned ones
+        k = A.shape[0] - rho
+        A = W.T @ A @ W
+        B = W.T @ B
+        C = np.vstack([A[k:, :k], (C[:r] @ W)[:, :k]])
+        D = np.vstack([B[k:], s[:r, None] * Vt[:r]])
+        A, B = A[:k, :k], B[:k]
+    zeros = (np.linalg.eigvals(A - B @ np.linalg.solve(D, C)) if A.size
+             else np.zeros(0, dtype=complex))
+    N = np.zeros_like(S)
+    N[:sys.n, :sys.n] = np.eye(sys.n)
     checked = []
     for z in zeros:
-        pencil = M - z * N
-        s = np.linalg.svd(pencil, compute_uv=False)
-        if s[-1] <= 1e-6 * max(1.0, s[0]):
+        sv = np.linalg.svd(S - z * N, compute_uv=False)
+        if sv[-1] <= 1e-6 * sv[0]:
             checked.append(complex(z))
     checked.sort(key=lambda c: (c.real, c.imag))
     return ZeroSet(
         transmission_zeros=np.asarray(checked, dtype=complex),
         pencil_rank_deficiency_tol=tol,
     )
+
+
+def _balanced_io(sys: StateSpace):
+    """(A, B 2^i, 2^o C, 2^(i+o) D): B and C at the 1-norm of A, in powers
+    of two, with both exponents lowered by halves when D would exceed it."""
+    e = [int(np.frexp(np.abs(X).sum(axis=0).max(initial=0.0))[1])
+         for X in (sys.A, sys.B, sys.C, sys.D)]
+    i, o = e[0] - e[1], e[0] - e[2]
+    excess = e[3] + i + o - e[0] if sys.D.any() else 0
+    if excess > 0:
+        i -= excess // 2
+        o -= excess - excess // 2
+    return (sys.A.astype(float), np.ldexp(sys.B, i), np.ldexp(sys.C, o),
+            np.ldexp(sys.D, i + o))
 
 
 # ---------------------------------------------------------------------------

@@ -705,9 +705,12 @@ def test_handler_import_loads_no_scipy():
     assert _scipy_loaded(code) == []
 
 
-def test_only_stability_and_structural_reach_scipy(tmp_path):
+def test_only_stability_and_infinite_horizon_grammians_reach_scipy(tmp_path):
     ss = {"type": "lti", "A": [[0.0, 1.0], [-2.0, -3.0]],
           "B": [[0.0], [1.0]], "C": [[1.0, 0.0]]}
+    square_d = {"type": "lti", "A": [[-1.0, 2.0], [0.0, -3.0]],
+                "B": [[1.0, 0.0], [1.0, 1.0]], "C": [[1.0, 0.0], [0.0, 1.0]],
+                "D": [[1.0, 0.0], [1.0, 0.0]]}
     finite_lqr = dict(lqr_doc(), t1=1.0, M=[[1.0, 0.0], [0.0, 1.0]])
     docs = [
         ("simulate", {"model": ss, "x0": [1.0, 0.0], "t1": 1.0,
@@ -730,6 +733,9 @@ def test_only_stability_and_structural_reach_scipy(tmp_path):
         ("tpbvp", {"kind": "bilinear", "x0": 0.5, "t1": 2.0}),
         ("mintime", {"x0": [1.0, 0.0]}),
         ("analyze", {"model": ss}),
+        # transmission zeros of a square plant, by pencil deflation
+        ("structural", {"model": ss}),
+        ("structural", {"model": square_d, "horizon": [0.0, 2.0]}),
     ]
     runs = []
     for i, (command, doc) in enumerate(docs):
@@ -754,6 +760,16 @@ def test_only_stability_and_structural_reach_scipy(tmp_path):
     assert rc == 0 and linalg_loaded
     assert "lyapunovP" in read_report(tmp_path / "stab")["results"]
     assert before == []
+    infinite = write_json(tmp_path / "infinite.json",
+                          {"model": ss, "horizon": [0.0, None]})
+    code = (
+        "import json, sys\n"
+        "from statespace_kit import cli\n"
+        f"rc = cli.main(['structural', '--input', {infinite!r},"
+        f" '--out', {str(tmp_path / 'infinite')!r}])\n"
+        "print(json.dumps([rc, 'scipy.linalg' in sys.modules]))\n"
+    )
+    assert _scipy_loaded(code) == [0, True]
 
 
 def _module_level_imports(tree):

@@ -20,6 +20,7 @@ from statespace_kit.minprin import (
     hamiltonian_residual,
     min_time_costate,
     min_time_state,
+    min_time_states,
     min_time_terminal_residual,
     solve_bilinear_bang_bang,
     solve_double_integrator_min_time,
@@ -329,6 +330,39 @@ def test_min_time_argmin_matches_the_reference_loop_bitwise():
                 assert rep == reference_min_time_argmin(variant, x0, u_grid)
                 violated += len(rep.violations) > 0
     assert violated >= len(starts)
+
+
+def reference_min_time_state(sol, x0, t):
+    # x0 read on every call, the state integrated piece by piece
+    x1, x2 = (float(v) for v in np.asarray(x0, dtype=float).reshape(2))
+    pos, vel, now = x1, x2, 0.0
+    for (a, b, u) in sol.control_pieces:
+        dt = min(t, b) - now
+        if dt <= 0:
+            break
+        pos += vel * dt + 0.5 * u * dt * dt
+        vel += u * dt
+        now += dt
+        if now >= t:
+            break
+    return np.array([pos, vel])
+
+
+def test_min_time_states_match_the_reference_bitwise():
+    gen = rng(14)
+    starts = ([[1.0, 0.0], [0.5, -1.0], [0.0, 0.0]]
+              + gen.uniform(-3, 3, (5, 2)).tolist())
+    for x0 in starts:
+        sol = solve_double_integrator_min_time(x0)
+        t1 = sol.terminal_time
+        ts = np.concatenate([np.linspace(0.0, t1, 401), [1.5 * t1 + 1.0]])
+        want = np.array([reference_min_time_state(sol, x0, t) for t in ts])
+        got = min_time_states(sol, np.array(x0), ts)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        for t in ts[::50]:
+            assert (min_time_state(sol, x0, t).tobytes()
+                    == reference_min_time_state(sol, x0, t).tobytes())
 
 
 def test_min_time_beats_slower_feasible_run():

@@ -128,7 +128,8 @@ def test_structural_duality():
     dual = structural_analysis(StateSpace(A.T, C.T, np.zeros((0, 4)),
                                           np.zeros((0, 2))))
     assert primal.obsv_rank == dual.ctrb_rank
-    np.testing.assert_allclose(primal.obsv_matrix, dual.ctrb_matrix.T)
+    np.testing.assert_allclose(observability_matrix(A, C),
+                               controllability_matrix(A.T, C.T).T)
 
 
 def test_similarity_preserves_ranks():
@@ -521,6 +522,117 @@ def test_zeros_degenerate_pencil_raises():
                      np.zeros((1, 1)))
     with pytest.raises(DegeneratePencil):
         transmission_zeros(sys)
+
+
+@pytest.mark.parametrize("c", [1e-12, 1.0, 1e6, 1e10, 1e13])
+def test_zero_scales_with_a(c):
+    # the zero of (c diag(-1, -2), [1; 1], [1 1]) is -1.5c at every scale
+    sys = state_space(c * np.diag([-1.0, -2.0]), np.ones((2, 1)),
+                      np.ones((1, 2)))
+    zs = transmission_zeros(sys).transmission_zeros
+    assert zs.shape == (1,)
+    assert abs(zs[0] - (-1.5 * c)) <= 1e-12 * c
+
+
+def conjugate_closed(zs):
+    return all(np.min(np.abs(zs - np.conj(z))) <= 1e-9 * abs(z) for z in zs)
+
+
+def test_zeros_of_relative_degree_two_plants():
+    # C is made orthogonal to B, so CB is zero up to rounding and a plant of
+    # n states has n - 2 zeros, which come in conjugate pairs
+    gen = np.random.default_rng(0)
+    for _ in range(300):
+        A = gen.standard_normal((6, 6))
+        b = gen.standard_normal((6, 1))
+        c = gen.standard_normal((1, 6))
+        c = c - (c @ b) / (b.T @ b) * b.T
+        zs = transmission_zeros(siso_system(A, b, c)).transmission_zeros
+        assert zs.size == 4
+        assert conjugate_closed(zs)
+
+
+def qz_zeros(sys):
+    """Finite generalized eigenvalues of the system pencil by scipy's QZ, or
+    None when the pencil is identically singular (alpha = beta = 0)."""
+    import scipy.linalg
+
+    n = sys.n
+    M = np.block([[sys.A, sys.B], [sys.C, sys.D]])
+    N = np.zeros_like(M)
+    N[:n, :n] = np.eye(n)
+    alpha, beta = scipy.linalg.eig(M, N, right=False, homogeneous_eigvals=True)
+    scale = np.abs(M).sum()
+    if np.any((np.abs(alpha) <= 1e-12 * scale) & (np.abs(beta) <= 1e-12 * scale)):
+        return None
+    finite = np.abs(beta) > 1e-8 * np.abs(alpha)
+    return np.sort_complex(alpha[finite] / beta[finite])
+
+
+def same_zeros(got, want):
+    if got.size != want.size:
+        return False
+    left = list(want)
+    for z in got:
+        i = int(np.argmin(np.abs(np.array(left) - z)))
+        if abs(left[i] - z) > 1e-6 * max(1.0, abs(z)):
+            return False
+        left.pop(i)
+    return True
+
+
+def zero_suite(seed, count):
+    """Square plants, m = p in 1..3 and n in 1..8, cycling through a regular
+    D, D = 0, a rank-deficient D and an uncontrollable last mode."""
+    gen = np.random.default_rng(seed)
+    for i in range(count):
+        m, n = int(gen.integers(1, 4)), int(gen.integers(1, 9))
+        A = gen.standard_normal((n, n))
+        B = gen.standard_normal((n, m))
+        C = gen.standard_normal((m, n))
+        kind = ("regular", "zero", "deficient", "uncontrollable")[i % 4]
+        D = np.zeros((m, m))
+        if kind == "regular" or (kind == "uncontrollable" and i % 8 == 3):
+            D = gen.standard_normal((m, m))
+        elif kind == "deficient" and m > 1:
+            D = gen.standard_normal((m, m - 1)) @ gen.standard_normal((m - 1, m))
+        if kind == "uncontrollable":
+            A[-1, :-1] = 0.0
+            B[-1] = 0.0
+        yield kind, StateSpace(A, B, C, D)
+
+
+def test_zeros_agree_with_qz():
+    kinds = {}
+    for kind, sys in zero_suite(1, 400):
+        want = qz_zeros(sys)
+        if want is None:
+            with pytest.raises(DegeneratePencil):
+                transmission_zeros(sys)
+            kind = "degenerate"
+        else:
+            got = transmission_zeros(sys).transmission_zeros
+            assert same_zeros(got, want), (kind, got, want)
+        kinds[kind] = kinds.get(kind, 0) + 1
+    assert min(kinds.values()) >= 20 and len(kinds) == 5
+
+
+@pytest.mark.parametrize("s", [2.0 ** -20, 0.3, 7.0, 2.0 ** 30, 1e9])
+def test_zeros_do_not_change_under_input_and_output_scaling(s):
+    for _, sys in zero_suite(2, 40):
+        try:
+            ref = transmission_zeros(sys).transmission_zeros
+        except DegeneratePencil:
+            with pytest.raises(DegeneratePencil):
+                transmission_zeros(StateSpace(sys.A, sys.B * s, s * sys.C,
+                                              s * s * sys.D))
+            continue
+        got = transmission_zeros(StateSpace(sys.A, sys.B * s, s * sys.C,
+                                            s * s * sys.D)).transmission_zeros
+        if np.log2(s).is_integer():  # power-of-two scalings are exact
+            assert got.tobytes() == ref.tobytes()
+        else:
+            assert same_zeros(got, ref)
 
 
 # ---------------------------------------------------------------------------

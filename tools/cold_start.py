@@ -37,8 +37,9 @@ _LQR = {"model": {"type": "lti", "A": [[0.0, -1.0], [0.0, 0.0]],
                   "B": [[1.0, 0.0], [0.0, 1.0]]},
         "Q": [[4.0, 2.0], [2.0, 1.0]], "R": [[1.0, 0.0], [0.0, 1.0]]}
 
-# one document per command; stability's model is asymptotically stable and
-# structural's plant is square, so those two reach their scipy calls
+# one document per command; stability's model is asymptotically stable, so
+# it reaches its scipy call; structural's square plant gets its transmission
+# zeros from numpy alone
 DOCUMENTS = {
     "realize": {"transfer": {"num": [1.0], "den": [1.0, 3.0, 2.0]},
                 "form": "ccf"},
