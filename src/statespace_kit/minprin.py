@@ -258,11 +258,11 @@ def min_time_state(sol: BangBangSolution, x0, t: float) -> np.ndarray:
 
 def min_time_states(sol: BangBangSolution, x0, times) -> np.ndarray:
     """The state at each of times, one row per time; x0 is read once."""
-    x1, x2 = _start(x0)
+    x1, x2 = _x0_floats(x0)
     return np.array([_min_time_march(sol, x1, x2, t) for t in times])
 
 
-def _start(x0):
+def _x0_floats(x0):
     return tuple(float(v) for v in np.asarray(x0, dtype=float).reshape(2))
 
 
@@ -389,7 +389,7 @@ def _min_time_argmin(sol, prob, u_grid):
     # Python floats: the same double operations without numpy's dispatch
     us = np.asarray(u_grid, dtype=float).tolist()
     times = np.linspace(0.0, sol.terminal_time, 201).tolist()
-    x1, x2 = _start(prob.x0)
+    x1, x2 = _x0_floats(prob.x0)
     bad = []
     for t in times:
         x = _min_time_march(sol, x1, x2, t)

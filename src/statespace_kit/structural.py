@@ -435,10 +435,11 @@ def transmission_zeros(sys: StateSpace, tol: float = 1e-8) -> ZeroSet:
     rotates the outputs so that the rows of D beyond its rank vanish; the
     output rows C2 that are left without feedthrough then pin rank(C2)
     state directions to zero, and the pass removes them, which deflates one
-    layer of infinite zeros. When D reaches full row rank it is square and
-    regular (the pass keeps p = m), and the zeros are the eigenvalues of
-    A_f - B_f D_f^{-1} C_f. A regular D needs no pass: the zeros are those
-    of A - B D^{-1} C.
+    layer of infinite zeros. A pass keeps p = m, since any other outcome
+    leaves vanishing rows; so when D reaches full row rank it is square and
+    regular, the dual pass of the general method has nothing left to do,
+    and the zeros are the eigenvalues of A_f - B_f D_f^{-1} C_f. A regular
+    D needs no pass: the zeros are those of A - B D^{-1} C.
 
     Exact power-of-two input and output scalings first bring B and C to the
     scale of A, and no further when that would lift D above it. Every rank
@@ -446,9 +447,9 @@ def transmission_zeros(sys: StateSpace, tol: float = 1e-8) -> ZeroSet:
     1-norm of the scaled [[A, B], [C, D]], so the zeros scale with A and do
     not change under input and output scaling. Output rows with no
     feedthrough and no state rank to pin vanish from the pencil, which then
-    loses rank at every z: DegeneratePencil. Each zero must also leave the
-    scaled pencil's smallest singular value within 1e-6 of its largest.
-    Zeros are sorted by (real, imag).
+    loses rank at every z: DegeneratePencil. At each zero the scaled
+    pencil's smallest singular value must also be at most 1e-6 times its
+    largest. Zeros are sorted by (real, imag).
     """
     if sys.p != sys.m:
         raise NonSquarePlant(f"plant is {sys.p}x{sys.m}; zeros need p = m")
@@ -478,12 +479,9 @@ def transmission_zeros(sys: StateSpace, tol: float = 1e-8) -> ZeroSet:
              else np.zeros(0, dtype=complex))
     N = np.zeros_like(S)
     N[:sys.n, :sys.n] = np.eye(sys.n)
-    checked = []
-    for z in zeros:
-        sv = np.linalg.svd(S - z * N, compute_uv=False)
-        if sv[-1] <= 1e-6 * sv[0]:
-            checked.append(complex(z))
-    checked.sort(key=lambda c: (c.real, c.imag))
+    sv = np.linalg.svd(S - zeros[:, None, None] * N, compute_uv=False)
+    checked = sorted(map(complex, zeros[sv[:, -1] <= 1e-6 * sv[:, 0]]),
+                     key=lambda c: (c.real, c.imag))
     return ZeroSet(
         transmission_zeros=np.asarray(checked, dtype=complex),
         pencil_rank_deficiency_tol=tol,
