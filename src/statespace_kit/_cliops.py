@@ -469,23 +469,24 @@ def _h_realize(doc, tol, seed):
 def _mode_table(sys: StateSpace, mode_tol):
     from . import structural
     from .model import StateSpace
+    from .numkit import match_roots
 
     fwd = structural.modal_controllability_test(sys, tol=mode_tol)
     dual = structural.modal_controllability_test(
         StateSpace(A=sys.A.T, B=sys.C.T, C=sys.B.T, D=sys.D.T), tol=mode_tol)
 
-    def keyed(report):
-        return sorted(range(len(report.eigenvalues)),
-                      key=lambda i: (round(report.eigenvalues[i].real, 9),
-                                     round(report.eigenvalues[i].imag, 9)))
-
+    lam = fwd.eigenvalues
+    rows = sorted(range(len(lam)), key=lambda i: (round(lam[i].real, 9),
+                                                  round(lam[i].imag, 9)))
+    # each row reads the dual mode nearest its eigenvalue
+    mates = match_roots(lam[rows], dual.eigenvalues, float("inf"))
     return [{
         "controllable": bool(fwd.controllable_flags[i]),
-        "eigenvalue": _c(fwd.eigenvalues[i]),
+        "eigenvalue": _c(lam[i]),
         "inputCoupling": float(fwd.row_norms[i]),
         "observable": bool(dual.controllable_flags[j]),
         "outputCoupling": float(dual.row_norms[j]),
-    } for i, j in zip(keyed(fwd), keyed(dual))]
+    } for i, j in zip(rows, mates)]
 
 
 def _h_analyze(doc, tol, seed):

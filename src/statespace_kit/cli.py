@@ -153,6 +153,10 @@ def _parse_tolerances(pairs, command: str,
             print(f"error: tolerance {name!r} needs a numeric value, "
                   f"got {raw!r}", file=sys.stderr)
             return None
+        if not 0.0 <= overrides[name] < float("inf"):  # false for nan too
+            print(f"error: --tol {pair!r}: a tolerance must be finite "
+                  f"and >= 0", file=sys.stderr)
+            return None
     return overrides
 
 

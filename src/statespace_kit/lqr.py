@@ -454,22 +454,6 @@ class SrlPoint:
     stable_roots: np.ndarray
 
 
-def _reflection_paired(roots, tol=1e-8):
-    rem = list(roots)
-    scale = 1.0 + max((abs(z) for z in rem), default=0.0)
-    while rem:
-        z = rem.pop()
-        best, dist = None, np.inf
-        for i, w in enumerate(rem):
-            d = abs(w + z)
-            if d < dist:
-                best, dist = i, d
-        if best is None or dist > tol * scale:
-            return False
-        rem.pop(best)
-    return True
-
-
 def symmetric_root_locus(plant: RationalFunction, r_values) -> tuple:
     """Roots of r a(s)a(-s) + b(s)b(-s) per weight, with the stable branch."""
     a = np.real(np.asarray(plant.den, dtype=complex)).astype(float)
@@ -492,7 +476,9 @@ def _srl_core(a, numerators, r_values):
     for r in np.atleast_1d(np.asarray(r_values, dtype=float)):
         p = numkit.poly_add(numkit.poly_scale(a_even, r), b_even)
         roots = numkit.poly_roots(p)
-        if not _reflection_paired(roots):
+        # each root must match the mirror image -z of a root
+        band = 1e-8 * (1.0 + max((abs(z) for z in roots), default=0.0))
+        if None in numkit.match_roots(roots, -roots, band):
             raise IllConditioned("root locus lost its axis symmetry")
         stable = np.asarray(sorted((z for z in roots if z.real < 0),
                                    key=lambda w: (w.real, w.imag)), dtype=complex)

@@ -154,6 +154,37 @@ def rank(A, tol: float | None = None) -> int:
 
 
 # ---------------------------------------------------------------------------
+# root matching
+
+
+def match_roots(targets, candidates, bands) -> list:
+    """Candidate index per target, or None: which root is which.
+
+    Each target in order takes the nearest candidate not yet taken, if that
+    candidate lies within the target's absolute band; otherwise it gets None
+    and the candidate stays free. bands is one distance for every target or
+    one per target. Ties go to the lower index.
+    """
+    targets = [complex(t) for t in targets]
+    free = {i: complex(c) for i, c in enumerate(candidates)}
+    if np.ndim(bands) == 0:
+        bands = [bands] * len(targets)
+    out = []
+    for t, band in zip(targets, bands):
+        best, dist = None, float("inf")
+        for i, c in free.items():
+            d = abs(c - t)
+            if d < dist:
+                best, dist = i, d
+        if best is not None and dist <= band:
+            del free[best]
+            out.append(best)
+        else:
+            out.append(None)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # definiteness
 
 

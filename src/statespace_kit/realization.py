@@ -72,31 +72,22 @@ class RationalFunction:
 
 
 def _cancel_common_roots(num, den, rtol: float = 1e-7):
-    """Greedy pairing of nearly equal numerator/denominator roots."""
+    """Each numerator root cancels its nearest denominator root in its band."""
     if numkit.poly_degree(num) < 1 or numkit.poly_degree(den) < 1:
         return num, den, ()
-    nroots = list(numkit.poly_roots(num))
-    droots = list(numkit.poly_roots(den))
-    cancelled = []
-    kept_n = []
-    for r in nroots:
-        hit = None
-        for i, q in enumerate(droots):
-            if abs(r - q) <= rtol * (1.0 + abs(q)):
-                hit = i
-                break
-        if hit is None:
-            kept_n.append(r)
-        else:
-            cancelled.append(droots.pop(hit))
-    if not cancelled:
+    nroots = numkit.poly_roots(num)
+    droots = numkit.poly_roots(den)
+    hits = numkit.match_roots(nroots, droots,
+                              [rtol * (1.0 + abs(r)) for r in nroots])
+    taken = [j for j in hits if j is not None]
+    if not taken:
         return num, den, ()
-    lead_n = num[0]
-    lead_d = den[0]
-    new_num = numkit.poly_trim(lead_n * numkit.poly_from_roots(kept_n))
-    new_den = numkit.poly_trim(lead_d * numkit.poly_from_roots(droots))
+    kept_n = [r for r, j in zip(nroots, hits) if j is None]
+    kept_d = np.delete(droots, taken)
+    new_num = numkit.poly_trim(num[0] * numkit.poly_from_roots(kept_n))
+    new_den = numkit.poly_trim(den[0] * numkit.poly_from_roots(kept_d))
     cancelled = tuple(complex(c.real, 0.0) if abs(c.imag) < 1e-9 * (1 + abs(c)) else complex(c)
-                      for c in cancelled)
+                      for c in droots[taken])
     return new_num, new_den, cancelled
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numkit
-from .errors import RepeatedEigenvalues, SingularLyapunovOperator
+from .errors import SingularLyapunovOperator
 from .model import Equilibrium, NonlinearModel, linearize_at_equilibrium
 
 ASYMPTOTICALLY_STABLE = "asymptoticallyStable"
@@ -137,48 +137,27 @@ class StabilitySubspaces:
 
 
 def stability_subspaces(A, tol: float = None) -> StabilitySubspaces:
-    """Real bases of the stable, center, and unstable eigenspaces.
+    """Orthonormal real bases of the stable, center, and unstable subspaces.
 
-    Simple eigenvalues only; each complex pair contributes the real and
-    imaginary parts of one eigenvector.
+    Each basis is the leading Schur vectors of a real Schur form ordered so
+    that the eigenvalues of that part come first: real part below -tol,
+    within tol, and above tol. Repeated and defective eigenvalues split like
+    any other, a Jordan block contributing its generalized eigenvectors.
     """
+    from scipy.linalg import schur
+
     A = numkit.require_square(A)
-    n = A.shape[0]
     if tol is None:
         tol = 1e-9 * (1.0 + float(np.linalg.norm(A, 2) if A.size else 0.0))
-    eig = numkit.eigen(A)
-    if len(eig.distinct_values) != n:
-        raise RepeatedEigenvalues("subspace split requires simple eigenvalues")
-    cols = {"stable": [], "center": [], "unstable": []}
-    seen_conj = set()
-    order = np.argsort([(z.real, abs(z.imag)) for z in eig.values], axis=0)[:, 0]
-    for idx in order:
-        z = eig.values[idx]
-        v = eig.right_vectors[:, idx]
-        if z.real < -tol:
-            bucket = "stable"
-        elif z.real > tol:
-            bucket = "unstable"
-        else:
-            bucket = "center"
-        if abs(z.imag) <= tol * (1 + abs(z)):
-            w = np.real(v)
-            cols[bucket].append(w / np.linalg.norm(w))
-        else:
-            key = (round(z.real, 9), round(abs(z.imag), 9))
-            if key in seen_conj:
-                continue
-            seen_conj.add(key)
-            re, im = np.real(v), np.imag(v)
-            cols[bucket].append(re / np.linalg.norm(re))
-            cols[bucket].append(im / np.linalg.norm(im))
 
-    def pack(name):
-        c = cols[name]
-        return np.column_stack(c) if c else np.zeros((n, 0))
+    def leading(part):
+        Z, dim = schur(A, output="real", sort=part)[1:]
+        return Z[:, :dim]
 
     return StabilitySubspaces(
-        stable=pack("stable"), center=pack("center"), unstable=pack("unstable")
+        stable=leading(lambda re, im: re < -tol),
+        center=leading(lambda re, im: abs(re) <= tol),
+        unstable=leading(lambda re, im: re > tol),
     )
 
 

@@ -35,33 +35,15 @@ class GainSet:
 
 
 def _check_conjugate_closed(poles, tol=1e-9):
+    """Each non-real pole must match the conjugate of another one."""
     poles = [complex(p) for p in poles]
-    remaining = poles.copy()
-    while remaining:
-        p = remaining.pop()
-        if abs(p.imag) <= tol * (1.0 + abs(p)):
-            continue
-        mate = None
-        for i, q in enumerate(remaining):
-            if abs(q - p.conjugate()) <= tol * (1.0 + abs(p)):
-                mate = i
-                break
+    nonreal = [p for p in poles if abs(p.imag) > tol * (1.0 + abs(p))]
+    mates = numkit.match_roots(nonreal, [p.conjugate() for p in nonreal],
+                               [tol * (1.0 + abs(p)) for p in nonreal])
+    for p, mate in zip(nonreal, mates):
         if mate is None:
             raise ConjugacyViolation(f"pole {p} lacks its conjugate")
-        remaining.pop(mate)
     return np.asarray(poles, dtype=complex)
-
-
-def _match_multisets(achieved, desired, tol):
-    """Each requested pole against its nearest achieved one not yet taken."""
-    left = list(achieved)
-    if len(left) != len(desired):
-        return False
-    for y in desired:
-        x = left.pop(min(range(len(left)), key=lambda i: abs(left[i] - y)))
-        if abs(x - y) > tol * (1.0 + abs(y)):
-            return False
-    return True
 
 
 def _siso_place(A, b, desired):
@@ -128,7 +110,8 @@ def place_poles(sys: StateSpace, desired_poles, verify_tol: float = 1e-6) -> Gai
                 "no direction in the fixed candidate list keeps the pair controllable"
             )
     achieved = numkit.eigen(sys.A - sys.B @ K).values
-    if not _match_multisets(achieved, desired, verify_tol):
+    if None in numkit.match_roots(desired, achieved,
+                                  [verify_tol * (1.0 + abs(y)) for y in desired]):
         raise IllConditioned(
             "achieved spectrum deviates from the request beyond tolerance"
         )

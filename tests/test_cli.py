@@ -129,6 +129,54 @@ def test_analyze_mode_table(tmp_path):
     assert [m["observable"] for m in modes] == [True, True, False]
 
 
+def analyze_modes(tmp_path, c, C):
+    """Mode table of c times an upper-triangular chain, keyed by mode / c."""
+    from statespace_kit import cli
+
+    A = [[-c, 5.0 * c, 0.0], [0.0, -2.0 * c, 3.0 * c], [0.0, 0.0, -3.0 * c]]
+    inp = write_json(tmp_path / f"in-{c}.json",
+                     {"model": {"type": "lti", "A": A,
+                                "B": [[0.0], [0.0], [1.0]], "C": [C]}})
+    out = tmp_path / f"out-{c}"
+    assert cli.main(["analyze", "--input", inp, "--out", str(out)]) == 0
+    return {round(m["eigenvalue"]["re"] / c): m
+            for m in read_report(out)["results"]["modes"]}
+
+
+@pytest.mark.parametrize("C", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+                         ids=["observable", "mode-1-unobservable"])
+def test_analyze_mode_rows_do_not_change_with_scale(tmp_path, C):
+    ref = analyze_modes(tmp_path, 1.0, C)
+    assert sorted(ref) == [-3, -2, -1]
+    assert [ref[k]["observable"] for k in (-1, -2, -3)] == [C[0] != 0.0,
+                                                            True, True]
+    for c in (1e-12, 1e8):
+        modes = analyze_modes(tmp_path, c, C)
+        assert sorted(modes) == sorted(ref)
+        for k, row in modes.items():
+            assert row["controllable"] == ref[k]["controllable"]
+            assert row["observable"] == ref[k]["observable"]
+            for key in ("inputCoupling", "outputCoupling"):
+                assert row[key] == pytest.approx(ref[k][key], rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("c", [1e-8, 1.0, 1e8])
+def test_realize_minimal_cancels_the_matching_factor(tmp_path, c):
+    from statespace_kit import cli
+
+    # (s + c) / ((s + c)(s + 2c)) is 1 / (s + 2c)
+    inp = write_json(tmp_path / "in.json",
+                     {"form": "minimal",
+                      "transfer": {"num": [1.0, c],
+                                   "den": [1.0, 3.0 * c, 2.0 * c * c]}})
+    out = tmp_path / "out"
+    assert cli.main(["realize", "--input", inp, "--out", str(out)]) == 0
+    poles = read_report(out)["results"]["poles"]
+    assert len(poles) == 1
+    assert poles[0]["re"] == pytest.approx(-2.0 * c, rel=1e-9)
+    assert poles[0]["im"] == 0.0
+
+
 def test_simulate_trajectory_csv(tmp_path):
     doc = {
         "model": {"type": "lti", "A": [[0.0, 1.0], [-2.0, -3.0]],
@@ -482,6 +530,20 @@ def test_unknown_tolerance_exits_2(tmp_path):
                    "--tol", "bogus=1e-3")
     assert proc.returncode == 2
     assert "does not honor tolerance" in proc.stderr
+
+
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+def test_negative_or_non_finite_tolerance_exits_2(tmp_path, capsys, value):
+    from statespace_kit import cli
+
+    inp = write_json(tmp_path / "in.json",
+                     {"model": {"type": "lti", "A": [[0.0, 1.0], [-2.0, -3.0]],
+                                "B": [[0.0], [1.0]], "C": [[1.0, 0.0]]}})
+    out = tmp_path / "out"
+    assert cli.main(["structural", "--input", inp, "--out", str(out),
+                     "--tol", f"zero_tol={value}"]) == 2
+    assert f"--tol 'zero_tol={value}'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_schema_error_reports_pointer(tmp_path):

@@ -83,6 +83,42 @@ def test_rank_examples():
 
 
 # ---------------------------------------------------------------------------
+# root matching
+
+
+def test_match_roots_takes_the_nearest_not_the_first_in_band():
+    # both candidates lie in the band of -1; the second is the nearer
+    assert numkit.match_roots([-1.0], [-2.0, -1.0 + 1e-12], 2.0) == [1]
+
+
+def test_match_roots_leaves_taken_candidates_to_later_targets():
+    assert numkit.match_roots([1.0, 1.1], [1.05, 2.0], 1.0) == [0, 1]
+    # the second target's nearest is taken and the other is out of band
+    assert numkit.match_roots([1.0, 1.1], [1.05, 2.0], 0.5) == [0, None]
+
+
+def test_match_roots_band_per_target():
+    targets = [1e-8, 1.0, 1e8 + 1j]
+    candidates = [1e8 + 1j + 1.0, 1.0 + 1e-9, 2e-8]
+    assert numkit.match_roots(targets, candidates,
+                              [1e-7, 1e-6, 10.0]) == [2, 1, 0]
+    # the first band is too narrow: its nearest candidate stays free
+    assert numkit.match_roots(targets, candidates,
+                              [1e-9, 1e-6, 10.0]) == [None, 1, 0]
+
+
+def test_match_roots_none_and_empty_inputs():
+    assert numkit.match_roots([1j, -1j], [1j], np.inf) == [0, None]
+    assert numkit.match_roots([], [1.0, 2.0], 1.0) == []
+    assert numkit.match_roots([1.0, 2.0], [], 1.0) == [None, None]
+    assert numkit.match_roots(np.array([]), np.array([]), []) == []
+
+
+def test_match_roots_ties_go_to_the_lower_index():
+    assert numkit.match_roots([0.0], [1.0, -1.0, 1j], 1.0) == [0]
+
+
+# ---------------------------------------------------------------------------
 # definiteness
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import random_stable_diagonalizable, rng, subspace_angle
 from statespace_kit import numkit
-from statespace_kit.errors import RepeatedEigenvalues, SingularLyapunovOperator
+from statespace_kit.errors import SingularLyapunovOperator
 from statespace_kit.model import Equilibrium, NonlinearModel
 from statespace_kit.realization import rational
 from statespace_kit.stability import (
@@ -220,9 +220,25 @@ def test_subspace_complex_pair_real_basis():
     assert np.isrealobj(pair.stable)
 
 
-def test_subspace_rejects_repeated_eigenvalues():
-    with pytest.raises(RepeatedEigenvalues):
-        stability_subspaces(np.eye(2))
+@pytest.mark.parametrize("A, dims", [
+    (np.eye(2), (0, 0, 2)),
+    (np.array([[0.0, 1.0], [0.0, 0.0]]), (0, 2, 0)),
+    # a defective stable block beside a rotation
+    (np.array([[-1.0, 1.0, 0.0, 0.0], [0.0, -1.0, 0.0, 0.0],
+               [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, -1.0, 0.0]]), (2, 2, 0)),
+    # the pair -1 +- 2j twice, beside an unstable mode
+    (np.array([[-1.0, 2.0, 0.0, 0.0, 0.0], [-2.0, -1.0, 0.0, 0.0, 0.0],
+               [0.0, 0.0, -1.0, 2.0, 1.0], [0.0, 0.0, -2.0, -1.0, 0.0],
+               [0.0, 0.0, 0.0, 0.0, 3.0]]), (4, 0, 1)),
+], ids=["identity", "nilpotent", "jordan-and-rotation", "repeated-pair"])
+def test_subspace_splits_repeated_and_defective_eigenvalues(A, dims):
+    pair = stability_subspaces(A)
+    parts = (pair.stable, pair.center, pair.unstable)
+    assert tuple(V.shape[1] for V in parts) == dims
+    norm = np.linalg.norm(A, 2)
+    for V in parts:
+        np.testing.assert_allclose(V.T @ V, np.eye(V.shape[1]), atol=1e-12)
+        assert np.linalg.norm(A @ V - V @ (V.T @ A @ V), 2) <= 1e-12 * norm
 
 
 # ---------------------------------------------------------------------------
