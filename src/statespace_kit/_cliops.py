@@ -476,8 +476,11 @@ def _mode_table(sys: StateSpace, mode_tol):
         StateSpace(A=sys.A.T, B=sys.C.T, C=sys.B.T, D=sys.D.T), tol=mode_tol)
 
     lam = fwd.eigenvalues
-    rows = sorted(range(len(lam)), key=lambda i: (round(lam[i].real, 9),
-                                                  round(lam[i].imag, 9)))
+    # rows by (re, im) relative to the largest |eigenvalue|, so that their
+    # order does not change when A is scaled
+    rho = float(np.max(np.abs(lam), initial=0.0)) or 1.0
+    rows = sorted(range(len(lam)), key=lambda i: (round(lam[i].real / rho, 9),
+                                                  round(lam[i].imag / rho, 9)))
     # each row reads the dual mode nearest its eigenvalue
     mates = match_roots(lam[rows], dual.eigenvalues, float("inf"))
     return [{

@@ -125,7 +125,12 @@ def ltv_model(A, B=None, C=None, D=None, n=None, m=None, p=None, breaks=()) -> L
 
 @dataclass(frozen=True)
 class NonlinearModel:
-    """dx/dt = f(x, u, t), y = h(x, u, t) with declared dimensions."""
+    """dx/dt = f(x, u, t), y = h(x, u, t) with declared dimensions.
+
+    f and h take x and u as arrays. A builtin f (registry) also takes them
+    as lists of floats and returns a list; its attribute takes_lists lets
+    simulate march it on Python floats.
+    """
 
     f: Callable[[np.ndarray, np.ndarray, float], np.ndarray]
     h: Callable[[np.ndarray, np.ndarray, float], np.ndarray]

@@ -345,16 +345,32 @@ def rk4_march(rate, coeff, t, y, h, steps, *, start=None, settle=None):
     whose value the next step starts from. So coeff must be a pure function
     of t. settle, when given, maps each new y before it is yielded and
     stepped from.
+
+    y is an ndarray, or a list of floats for which rate returns a list:
+    then each stage runs the same formula element by element on Python
+    floats, whose + and * round as numpy's elementwise ones do, so the
+    steps have the same bits and skip numpy's per-call cost on small
+    states.
     """
+    floats = type(y) is list
+    if floats:
+        t, h = float(t), float(h)
     h2, h6 = h / 2, h / 6
     c = coeff(t) if start is None else start
     for _ in range(steps):
         mid, end = coeff(t + h2), coeff(t + h)
         k1 = rate(y, c)
-        k2 = rate(y + h2 * k1, mid)
-        k3 = rate(y + h2 * k2, mid)
-        k4 = rate(y + h * k3, end)
-        y = y + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if floats:
+            k2 = rate([a + h2 * b for a, b in zip(y, k1)], mid)
+            k3 = rate([a + h2 * b for a, b in zip(y, k2)], mid)
+            k4 = rate([a + h * b for a, b in zip(y, k3)], end)
+            y = [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                 for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+        else:
+            k2 = rate(y + h2 * k1, mid)
+            k3 = rate(y + h2 * k2, mid)
+            k4 = rate(y + h * k3, end)
+            y = y + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if settle is not None:
             y = settle(y)
         t, c = t + h, end

@@ -3,12 +3,18 @@
 Each entry is a factory taking a parameter map and returning a fully
 constructed model. Nonlinear entries return NonlinearModel, linear ones
 StateSpace. Unknown parameter names are rejected so typos surface early.
+
+The rate f of the pendulum and the van der Pol oscillator takes its state
+and input as lists of floats or as arrays and returns a list; its
+attribute takes_lists tells simulate to march it on Python floats
+(numkit.rk4_march). The magnetic ball's rate stays on arrays: its
+division and power give inf or nan in numpy where floats raise.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Mapping, Optional, Union
+from typing import Callable, Dict, List, Mapping, Optional, Union
 
 import numpy as np
 
@@ -16,6 +22,7 @@ from .model import NonlinearModel, StateSpace
 from .errors import SchemaError
 
 ModelLike = Union[StateSpace, NonlinearModel]
+Vector = Union[np.ndarray, List[float]]
 
 
 def _params(given: Optional[Mapping[str, float]], defaults: Dict[str, float],
@@ -50,9 +57,13 @@ def _pendulum(params: Optional[Mapping[str, float]]) -> NonlinearModel:
     p = _params(params, {"m": 1.0, "g": 1.0, "l": 1.0}, "pendulum")
     m, g, l = p["m"], p["g"], p["l"]
 
-    def f(x: np.ndarray, u: np.ndarray, t: float) -> np.ndarray:
-        angle, rate = x.tolist()
-        return np.array([rate, -(g / (m * l)) * math.sin(angle) + u[0]])
+    def f(x: Vector, u: Vector, t: float) -> list:
+        angle, rate = x
+        # sin(inf) would raise; nan stops the march as a truncated run
+        sine = math.sin(angle) if math.isfinite(angle) else math.nan
+        return [rate, -(g / (m * l)) * sine + u[0]]
+
+    f.takes_lists = True
 
     def h(x: np.ndarray, u: np.ndarray, t: float) -> np.ndarray:
         return np.array([x[0]])
@@ -63,11 +74,13 @@ def _pendulum(params: Optional[Mapping[str, float]]) -> NonlinearModel:
 def _vanderpol(params: Optional[Mapping[str, float]]) -> NonlinearModel:
     _params(params, {}, "vanderpol")
 
-    def f(x: np.ndarray, u: np.ndarray, t: float) -> np.ndarray:
-        # the square stays a numpy power: it overflows to inf where a
-        # float power raises OverflowError
-        x1, x2 = x.tolist()
-        return np.array([x2, -(1.0 - x[0] ** 2) * x2 - x1])
+    def f(x: Vector, u: Vector, t: float) -> list:
+        # a product, not a power: x1 * x1 overflows to inf, as the numpy
+        # power does, where the float power raises OverflowError
+        x1, x2 = x
+        return [x2, -(1.0 - x1 * x1) * x2 - x1]
+
+    f.takes_lists = True
 
     def h(x: np.ndarray, u: np.ndarray, t: float) -> np.ndarray:
         return np.array([x[0]])

@@ -23,9 +23,10 @@ _FLOAT = np.dtype(float)
 
 # total Simpson substeps a callable-input LTI simulation, and total
 # fourth-order steps a time-varying or nonlinear one, may take: about 2-5 s
-# at the 11-21 us per substep, and at the 13-26 us per step of the pendulum,
-# vanderpol and a sampled time-varying model, measured for 2-state models on
-# a shared 2-vCPU x86 host, one BLAS thread. A longer run raises
+# at the 11-21 us per substep and the 13-26 us per step of a sampled
+# time-varying model, and about 1 s at the 4.5-4.9 us per step of the
+# pendulum and vanderpol (min of 20 runs), measured for 2-state models on a
+# shared 2-vCPU x86 host, one BLAS thread. A longer run raises
 # WorkBudgetExceeded before it starts.
 SUBSTEP_BUDGET = 200_000
 
@@ -251,6 +252,9 @@ def simulate(model, x0, times, u=None, max_step: float = None) -> Trajectory:
     evaluated once per distinct stage time, so they must be pure functions
     of t; sampled A and B (numkit.sample_interpolant) under a constant input
     are interpolated for a whole table of stage times in one call. A
+    nonlinear model whose f has a true takes_lists attribute (the builtin
+    pendulum and vanderpol, see registry) gets its state and input as lists
+    of floats and is marched on them, with the bits of the array march. A
     non-finite state or exponential stops the run early and marks the
     result truncated.
     """
@@ -262,6 +266,7 @@ def simulate(model, x0, times, u=None, max_step: float = None) -> Trajectory:
     if isinstance(model, StateSpace):
         return _simulate_lti(model, x0, times, u, max_step)
     uf = _input_function(u, model.m)
+    x0 = numkit.as_vector(x0).astype(float)
     if isinstance(model, LtvModel):
         def coeff(t):
             return (numkit.as_matrix(model.A(t)),
@@ -290,17 +295,30 @@ def simulate(model, x0, times, u=None, max_step: float = None) -> Trajectory:
                                 max_step, model.piecewise_continuity_breaks,
                                 block)
     elif isinstance(model, NonlinearModel):
-        shape = (model.n,)
+        if getattr(model.f, "takes_lists", False):
+            # march on Python floats (numkit.rk4_march)
+            x0 = x0.tolist()
+            held = None if callable(u) else uf(times[0]).tolist()
 
-        def rate(x, c):
-            r = model.f(x, *c)
-            if type(r) is np.ndarray and r.dtype is _FLOAT and r.shape == shape:
-                return r
-            return np.asarray(r, dtype=float).reshape(shape)
+            def coeff(t):
+                return (uf(t).tolist() if held is None else held), t
+
+            def rate(x, c):
+                return model.f(x, *c)
+        else:
+            shape = (model.n,)
+
+            def coeff(t):
+                return uf(t), t
+
+            def rate(x, c):
+                r = model.f(x, *c)
+                if type(r) is np.ndarray and r.dtype is _FLOAT and r.shape == shape:
+                    return r
+                return np.asarray(r, dtype=float).reshape(shape)
 
         output = model.h
-        states = _march_samples(rate, lambda t: (uf(t), t), x0, times,
-                                max_step, ())
+        states = _march_samples(rate, coeff, x0, times, max_step, ())
     else:
         raise TypeError(f"cannot simulate {type(model).__name__}")
     kept = states.shape[0]
@@ -388,7 +406,7 @@ def _simulate_lti(sys: StateSpace, x0, times, u, max_step):
     return lti_trajectory(sys, times, np.array(states), inputs)
 
 
-def _march_samples(rate, coeff, x0, times, max_step, breaks,
+def _march_samples(rate, coeff, x, times, max_step, breaks,
                    block=None) -> np.ndarray:
     """States at the samples by fourth-order steps on each piece between
     samples and breaks; fewer rows than times when the state left the
@@ -399,8 +417,11 @@ def _march_samples(rate, coeff, x0, times, max_step, breaks,
     its coefficients from one such table per block of stage times, and
     from coeff itself from a None block on, so that coeff raises where the
     march reaches a stage it cannot take.
+
+    x is the start state: an ndarray, or a list of floats, which
+    numkit.rk4_march then marches on Python floats.
     """
-    x = numkit.as_vector(x0).astype(float)
+    floats = type(x) is list
     if max_step is None:
         max_step = (times[-1] - times[0]) / 2000.0
     pieces = [[(a, b, max(1.0, np.ceil((b - a) / max_step)))
@@ -421,7 +442,8 @@ def _march_samples(rate, coeff, x0, times, max_step, breaks,
             for _, x, _ in numkit.rk4_march(rate, coeff, a, x, h, steps):
                 # x.x is finite only if x is; it also overflows for some
                 # finite x, and then the entries decide
-                if not (math.isfinite(x.dot(x)) or np.isfinite(x).all()):
+                if not (all(map(math.isfinite, x)) if floats else
+                        (math.isfinite(x.dot(x)) or np.isfinite(x).all())):
                     return np.array(states)
         states.append(x)
     return np.array(states)

@@ -152,7 +152,8 @@ def test_analyze_mode_rows_do_not_change_with_scale(tmp_path, C):
                                                             True, True]
     for c in (1e-12, 1e8):
         modes = analyze_modes(tmp_path, c, C)
-        assert sorted(modes) == sorted(ref)
+        # the same rows in the same order, by real part
+        assert list(modes) == list(ref) == [-3, -2, -1]
         for k, row in modes.items():
             assert row["controllable"] == ref[k]["controllable"]
             assert row["observable"] == ref[k]["observable"]
@@ -194,6 +195,43 @@ def test_simulate_trajectory_csv(tmp_path):
     # x1(t) = 2 e^{-t} - e^{-2t} for this start
     assert abs(report["results"]["finalState"][0]
                - (2 * np.exp(-1) - np.exp(-2))) <= 1e-6
+
+
+# nonlinear builtins driven out of the finite range: (model, x0, u, t1)
+BLOW_UPS = [
+    ({"type": "nonlinear-builtin", "name": "pendulum"}, [0.1, 0.0], 1e300, 1e10),
+    ({"type": "nonlinear-builtin", "name": "vanderpol"}, [3.0, 3.0], None, 8.0),
+    ({"type": "nonlinear-builtin", "name": "magnetic_ball"}, [1e-150, 0.0],
+     1e100, 1.0),
+]
+
+
+# the magnetic ball's rate stays a numpy expression, which warns as it
+# overflows
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("model,x0,u,t1", BLOW_UPS,
+                         ids=[case[0]["name"] for case in BLOW_UPS])
+def test_simulate_nonlinear_blow_up_is_truncated(tmp_path, capsys, model, x0,
+                                                 u, t1):
+    from statespace_kit import cli
+
+    doc = {"model": model, "x0": x0, "t0": 0.0, "t1": t1, "samples": 101}
+    if u is not None:
+        doc["u"] = u
+    inp = write_json(tmp_path / "in.json", doc)
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--input", inp, "--out", str(out)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    report = read_report(out)
+    assert report["error"] is None
+    results = report["results"]
+    assert results["truncated"] is True
+    assert 1 <= results["samples"] < 101
+    assert np.all(np.isfinite(results["finalState"]))
+    assert report["warnings"] == [
+        "integration stopped early: state left the finite range"]
+    rows = (out / "trajectory.csv").read_text().splitlines()
+    assert len(rows) == 1 + results["samples"]
 
 
 def test_realize_and_place_round_trip(tmp_path):

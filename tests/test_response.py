@@ -1,3 +1,4 @@
+import math
 import time
 
 import numpy as np
@@ -525,3 +526,96 @@ def test_fundamental_matrix_evaluates_coefficients_once_per_stage_time():
     steps = max(2, int(np.ceil(4.0 / 0.01)))
     assert A.calls <= 2 * steps + 1
     np.testing.assert_allclose(stm(4.0, 0.0), phi_exact(4.0, 0.0), atol=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# builtin nonlinear models march on Python floats
+
+
+def on_arrays(model):
+    """The same model, with an f that simulate marches on arrays."""
+    f = model.f
+    return NonlinearModel(f=lambda x, u, t: f(x, u, t), h=model.h,
+                          n=model.n, m=model.m, p=model.p)
+
+
+def assert_same_run(a, b):
+    assert a.truncated == b.truncated
+    for field in ("times", "states", "inputs", "outputs"):
+        x, y = getattr(a, field), getattr(b, field)
+        assert x.shape == y.shape
+        assert x.tobytes() == y.tobytes()
+
+
+def test_rk4_march_on_float_lists_matches_arrays_bitwise():
+    gen = rng(3)
+    M = gen.standard_normal((3, 3))
+
+    def rate(y, c):
+        return [sum(M[i, j] * math.sin(y[j]) for j in range(3)) + c
+                for i in range(3)]
+
+    y0 = gen.standard_normal(3)
+    floats = numkit.rk4_march(rate, math.cos, 0.1, y0.tolist(), 0.05, 40)
+    arrays = numkit.rk4_march(lambda y, c: np.array(rate(y, c)), math.cos,
+                              0.1, y0, 0.05, 40)
+    for (t, y, c), (s, z, d) in zip(floats, arrays):
+        assert type(y) is list and type(z) is np.ndarray
+        assert (t, c) == (s, d)
+        assert np.array(y).tobytes() == z.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_pendulum_on_floats_matches_arrays_bitwise(seed):
+    from statespace_kit import registry
+
+    gen = rng(seed)
+    model = registry.builtin_model(
+        "pendulum", {"m": gen.uniform(0.5, 2.0), "g": gen.uniform(0.5, 2.0),
+                     "l": gen.uniform(0.5, 2.0)})
+    assert model.f.takes_lists
+    x0 = gen.uniform(-1.0, 1.0, 2)
+    times = np.linspace(0.0, 4.0, 81)
+    freq = gen.uniform(0.5, 3.0)
+    for u in ([gen.uniform(-0.3, 0.3)], lambda t: [0.2 * math.sin(freq * t)]):
+        assert_same_run(simulate(model, x0, times, u=u),
+                        simulate(on_arrays(model), x0, times, u=u))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_vanderpol_on_floats_matches_arrays_bitwise(seed):
+    from statespace_kit import registry
+
+    model = registry.builtin_model("vanderpol")
+    assert model.f.takes_lists
+    x0 = rng(seed).uniform(-2.0, 2.0, 2)
+    times = np.linspace(0.0, 4.0, 81)
+    assert_same_run(simulate(model, x0, times, max_step=0.01),
+                    simulate(on_arrays(model), x0, times, max_step=0.01))
+
+
+def test_vanderpol_blow_up_on_floats_matches_arrays():
+    from statespace_kit import registry
+
+    model = registry.builtin_model("vanderpol")
+    times = np.linspace(0.0, 8.0, 401)
+    floats = simulate(model, [3.0, 3.0], times)
+    with np.errstate(over="ignore", invalid="ignore"):
+        arrays = simulate(on_arrays(model), [3.0, 3.0], times)
+    assert floats.truncated
+    assert 1 < floats.times.size < times.size
+    assert_same_run(floats, arrays)
+
+
+def test_user_rate_receives_arrays():
+    seen = set()
+
+    def f(x, u, t):
+        seen.add((type(x), type(u)))
+        return -x + u
+
+    model = NonlinearModel(f=f, h=lambda x, u, t: x, n=2, m=2, p=2)
+    times = np.linspace(0.0, 1.0, 11)
+    for u in ([0.5, -0.5], lambda t: [math.sin(t), math.cos(t)]):
+        simulate(model, [1.0, 2.0], times, u=u)
+    assert seen == {(np.ndarray, np.ndarray)}
