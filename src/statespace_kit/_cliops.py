@@ -22,6 +22,7 @@ import numpy as np
 
 from .cli import COMMANDS
 from .errors import (
+    ArgumentError,
     DegeneratePencil,
     NonSquarePlant,
     SchemaError,
@@ -172,9 +173,11 @@ def _scalar_or_pair(value, loc: str) -> complex:
     _fail("expected a number, [re, im], or {re, im}", loc)
 
 
-def _pole_list(value, loc: str) -> List[complex]:
+def _pole_list(value, loc: str, count: Optional[int] = None) -> List[complex]:
     if not isinstance(value, list) or not value:
         _fail("non-empty array of poles expected", loc)
+    if count is not None and len(value) != count:
+        _fail(f"expected {count} poles, got {len(value)}", loc)
     return [_scalar_or_pair(v, f"{loc}/{i}") for i, v in enumerate(value)]
 
 
@@ -236,6 +239,17 @@ def _tf_doc(value, loc: str):
         except ValueError as exc:
             _fail(str(exc), f"{loc}/entries")
     return _tf_entry(value, loc)
+
+
+def _siso_plant(doc) -> RationalFunction:
+    from .realization import TransferMatrix
+
+    plant = _tf_doc(_require(doc, "plant", "/"), "/plant")
+    if isinstance(plant, TransferMatrix):
+        if plant.p != 1 or plant.m != 1:
+            _fail("single-input single-output plant expected", "/plant")
+        plant = plant.single()
+    return plant
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +598,7 @@ def _h_place(doc, tol, seed):
     from . import synthesis
 
     sys = _lti_model(doc)
-    poles = _pole_list(_require(doc, "poles", "/"), "/poles")
+    poles = _pole_list(_require(doc, "poles", "/"), "/poles", sys.n)
     gains = synthesis.place_poles(sys, poles,
                                   verify_tol=tol.get("verify_tol", 1e-6))
     results = {
@@ -598,10 +612,14 @@ def _h_observer(doc, tol, seed):
     from . import synthesis
 
     sys = _lti_model(doc)
-    op = _pole_list(_require(doc, "observer_poles", "/"), "/observer_poles")
-    verify_tol = tol.get("verify_tol", 1e-6)
     reduced = doc.get("reduced")
-    if reduced is not None and _boolean(reduced, "/reduced"):
+    reduced = reduced is not None and _boolean(reduced, "/reduced")
+    # a reduced observer places the n - p unmeasured directions, if any
+    count = sys.n - sys.p if reduced else sys.n
+    op = _pole_list(_require(doc, "observer_poles", "/"), "/observer_poles",
+                    count if count > 0 else None)
+    verify_tol = tol.get("verify_tol", 1e-6)
+    if reduced:
         design = synthesis.reduced_order_observer(sys, op)
         results = {
             "L": _mat_out(design.gain),
@@ -617,7 +635,7 @@ def _h_observer(doc, tol, seed):
         "reduced": False,
     }
     if doc.get("state_poles") is not None:
-        sp = _pole_list(doc["state_poles"], "/state_poles")
+        sp = _pole_list(doc["state_poles"], "/state_poles", sys.n)
         kgains = synthesis.place_poles(sys, sp, verify_tol=verify_tol)
         assembly = synthesis.assemble_observer_feedback(sys, kgains.K, gains.L)
         results["K"] = _mat_out(kgains.K)
@@ -632,7 +650,8 @@ def _h_integral(doc, tol, seed):
     from . import synthesis
 
     sys = _lti_model(doc)
-    poles = _pole_list(_require(doc, "poles", "/"), "/poles")
+    # the plant and one integrator per output
+    poles = _pole_list(_require(doc, "poles", "/"), "/poles", sys.n + sys.p)
     design = synthesis.integral_control(sys, poles)
     K1, K2 = design.gains
     results = {
@@ -647,14 +666,23 @@ def _h_integral(doc, tol, seed):
 
 def _h_diophantine(doc, tol, seed):
     from . import synthesis
-    from .realization import TransferMatrix
+    from .numkit import poly_degree
 
-    plant = _tf_doc(_require(doc, "plant", "/"), "/plant")
-    if isinstance(plant, TransferMatrix):
-        plant = plant.single()
-    alpha_c = _poly(_require(doc, "alpha_c", "/"), "/alpha_c")
-    alpha_o = _poly(_require(doc, "alpha_o", "/"), "/alpha_o")
-    design = synthesis.diophantine_design(plant, alpha_c, alpha_o)
+    plant = _siso_plant(doc)
+    # the degree of the denominator as given, before any cancellation
+    n = plant.degree() + len(plant.cancelled_roots)
+    if n < 1:
+        _fail("plant must have at least first-order dynamics", "/plant")
+    targets = []
+    for key in ("alpha_c", "alpha_o"):
+        alpha = _poly(_require(doc, key, "/"), f"/{key}")
+        if poly_degree(alpha) != n:
+            _fail(f"expected degree {n}, the plant's, got {poly_degree(alpha)}",
+                  f"/{key}")
+        if abs(alpha[0] - 1.0) > 1e-12:
+            _fail("monic polynomial expected", f"/{key}")
+        targets.append(alpha)
+    design = synthesis.diophantine_design(plant, *targets)
     results = {
         "compensator": _tf_out(design.compensator),
         "denominator": _poly_out(design.d),
@@ -676,8 +704,8 @@ def _lqr_problem(doc) -> LqrProblem:
     t1 = _optional_number(doc, "t1", "", default=None)
     try:
         return LqrProblem(sys=model, Q=Q, R=R, M=M, t0=t0, t1=t1)
-    except ValueError as exc:
-        _fail(str(exc), "/Q")
+    except ArgumentError as exc:
+        _fail(str(exc), f"/{exc.name}")
 
 
 def _h_lqr(doc, tol, seed):
@@ -722,11 +750,12 @@ def _h_srl(doc, tol, seed):
     from . import lqr, realization
 
     if doc.get("plant") is not None:
-        plant = _tf_doc(doc["plant"], "/plant")
-        if isinstance(plant, realization.TransferMatrix):
-            plant = plant.single()
+        plant = _siso_plant(doc)
     else:
         sys = _lti_model(doc)
+        if sys.m != 1 or sys.p != 1:
+            _fail(f"single-input single-output model expected, got {sys.m} "
+                  f"inputs and {sys.p} outputs", "/model")
         plant = realization.ss_to_tf(sys).single()
     rv = _r_values(doc)
     points = lqr.symmetric_root_locus(plant, rv)
@@ -840,6 +869,8 @@ def _h_tpbvp(doc, tol, seed):
     kind = doc.get("kind", "lq")
     if kind == "bilinear":
         x0 = _number(_require(doc, "x0", "/"), "/x0")
+        if x0 <= 0:
+            _fail("positive initial state expected", "/x0")
         t1 = _number(_require(doc, "t1", "/"), "/t1")
         sol = minprin.solve_bilinear_bang_bang(x0, t1)
         prob = minprin.BilinearProblem(x0=x0, t1=t1)
@@ -867,6 +898,8 @@ def _h_tpbvp(doc, tol, seed):
     x1 = _vector(_require(doc, "x1", "/"), "/x1", length=n)
     t0 = _number(_require(doc, "t0", "/"), "/t0")
     t1 = _number(_require(doc, "t1", "/"), "/t1")
+    if t1 <= t0:
+        _fail("t1 must exceed t0", "/t1")
     mask = None
     if doc.get("endpoint_mask") is not None:
         raw = doc["endpoint_mask"]

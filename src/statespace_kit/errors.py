@@ -204,6 +204,14 @@ class InvalidHorizon(ToolkitError):
 # --- input handling -------------------------------------------------------
 
 
+class ArgumentError(ValueError):
+    """A precondition on one argument failed; name says which argument."""
+
+    def __init__(self, message, name):
+        super().__init__(message)
+        self.name = name
+
+
 class SchemaError(ToolkitError):
     """Raised when an input file does not conform to the model schema.
 

@@ -11,6 +11,7 @@ import numpy as np
 
 from . import numkit
 from .errors import (
+    ArgumentError,
     AxisEigenvalue,
     FiniteEscape,
     IllConditioned,
@@ -50,14 +51,17 @@ class LqrProblem:
         Q = numkit.require_square(self.Q)
         R = numkit.require_square(self.R)
         if numkit.is_positive_definite(Q).verdict == "indefinite":
-            raise ValueError("state weight must be positive semidefinite")
+            raise ArgumentError("state weight must be positive semidefinite", "Q")
         if numkit.is_positive_definite(R).verdict != "PD":
-            raise ValueError("input weight must be positive definite")
+            raise ArgumentError("input weight must be positive definite", "R")
         M = self.M
         if M is not None:
             M = numkit.require_square(M)
             if numkit.is_positive_definite(M).verdict == "indefinite":
-                raise ValueError("terminal weight must be positive semidefinite")
+                raise ArgumentError(
+                    "terminal weight must be positive semidefinite", "M")
+        if self.t1 is not None and self.t1 <= self.t0:
+            raise ArgumentError("t1 must exceed t0", "t1")
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "R", R)
         object.__setattr__(self, "M", M)
@@ -210,12 +214,10 @@ def _partition_by_stability(pencil: HamiltonianPencil, tol):
     lam = pencil.spectrum
     if np.any(np.abs(lam.real) <= tol):
         raise AxisEigenvalue("spectrum touches the imaginary axis")
-    for i in range(n2):
-        for j in range(i + 1, n2):
-            if abs(lam[i] - lam[j]) <= tol * (1.0 + abs(lam[i])):
-                raise RepeatedHamiltonianEigenvalues(
-                    "repeated eigenvalue in the coupled flow matrix"
-                )
+    if len(numkit.group_roots(lam, [tol * (1.0 + abs(z)) for z in lam])) < n2:
+        raise RepeatedHamiltonianEigenvalues(
+            "repeated eigenvalue in the coupled flow matrix"
+        )
     stable = [i for i in range(n2) if lam[i].real < 0]
     unstable = [i for i in range(n2) if lam[i].real > 0]
     if len(stable) != n:

@@ -77,17 +77,8 @@ class EigenStructure:
 
     @cached_property
     def geometric_multiplicity(self) -> np.ndarray:
-        # rank test on the shifted matrix must absorb the eigensolver's
-        # backward error, which scales with the basis conditioning and the
-        # size of A
-        M = self.matrix
-        n = M.shape[0]
-        rank_tol = 1e-8 * float(np.linalg.norm(M, 1))
-        geo = np.array(
-            [n - rank(M - lam * np.eye(n), tol=rank_tol)
-             for lam in self.distinct_values],
-            dtype=int,
-        )
+        geo = np.array([next(power_null_bases(self.matrix, lam)).shape[1]
+                        for lam in self.distinct_values], dtype=int)
         return np.minimum(np.maximum(geo, 1), self.algebraic_multiplicity)
 
     @cached_property
@@ -95,30 +86,14 @@ class EigenStructure:
         return bool(np.all(self.geometric_multiplicity == self.algebraic_multiplicity))
 
 
-def _cluster_eigenvalues(values: np.ndarray, tol: float):
-    """Group eigenvalues within tol of each other, keeping first-seen order."""
-    reps: list[complex] = []
-    counts: list[int] = []
-    for v in values:
-        for i, r in enumerate(reps):
-            if abs(v - r) <= tol:
-                # running mean keeps the representative centred
-                reps[i] = (r * counts[i] + v) / (counts[i] + 1)
-                counts[i] += 1
-                break
-        else:
-            reps.append(complex(v))
-            counts.append(1)
-    return np.array(reps), np.array(counts)
-
-
 def eigen(A, tol: float | None = None) -> EigenStructure:
     """Full eigenstructure of a square matrix.
 
     Conjugate pairing for real input is inherited from the backend solver.
-    Geometric multiplicities are rank tests on (A - lambda I) with a cutoff
-    of 1e-8 ||A||_1, so the verdict does not change when A is scaled; they
-    are left undone until a caller reads them.
+    Eigenvalues within tol of a group's first one (group_roots) are one
+    distinct value, the running mean of its members in order. Geometric
+    multiplicities are the null-space dimensions of (A - lambda I) from
+    power_null_bases; they are left undone until a caller reads them.
     """
     M = require_square(A)
     n = M.shape[0]
@@ -129,12 +104,22 @@ def eigen(A, tol: float | None = None) -> EigenStructure:
     scale = max(1.0, float(np.max(np.abs(values))) if n else 1.0)
     if tol is None:
         tol = n * _EPS * scale * 64
-    distinct, alg = _cluster_eigenvalues(values, tol)
+    groups = group_roots(values, tol)
+    distinct = values.astype(complex)
+    if len(groups) < n:
+        # each group's value is the running mean of its members, as they
+        # join in index order
+        distinct = distinct[[members[0] for members in groups]]
+        for g, members in enumerate(groups):
+            rep = complex(distinct[g])
+            for count, i in enumerate(members[1:], 1):
+                rep = (rep * count + values[i]) / (count + 1)
+            distinct[g] = rep
     return EigenStructure(
         values=values,
         right_vectors=vectors,
         distinct_values=distinct,
-        algebraic_multiplicity=alg,
+        algebraic_multiplicity=np.array(list(map(len, groups))),
         matrix=M,
     )
 
@@ -151,6 +136,25 @@ def rank(A, tol: float | None = None) -> int:
     if tol is None:
         tol = max(M.shape) * _EPS * float(s[0])
     return int(np.count_nonzero(s > tol))
+
+
+def power_null_bases(A, lam, tol: float = 1e-8):
+    """Orthonormal bases of null(N^k) for k = 1, 2, ..., with N = A - lam I.
+
+    A singular value of N^k counts toward its rank when it exceeds
+    tol ||A||_1^k, so the ranks do not change when A is scaled. These ranks
+    of powers fix the Jordan structure at lam (Golub & Wilkinson, SIAM
+    Rev. 18(4), 1976). The cutoff follows A and not N: when A is lam I up
+    to rounding, N is all rounding and has no rank. The generator is
+    endless; each step costs one product and one SVD.
+    """
+    N = A - lam * np.eye(A.shape[0])
+    norm = float(np.linalg.norm(A, 1))
+    power, cutoff = N, tol * norm
+    while True:
+        _, s, vh = np.linalg.svd(power)
+        yield vh[int(np.count_nonzero(s > cutoff)):].conj().T
+        power, cutoff = power @ N, cutoff * norm
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +186,33 @@ def match_roots(targets, candidates, bands) -> list:
         else:
             out.append(None)
     return out
+
+
+def group_roots(roots, bands) -> list:
+    """Lists of root indices, one per group: which roots are one root.
+
+    Each root in order joins the group whose first root is nearest to it, if
+    it lies within that first root's absolute band; otherwise it starts a
+    new group. bands is one distance for every root or one per root. Groups
+    come in the order of their first roots, members in index order; ties go
+    to the earlier group.
+    """
+    roots = np.asarray(roots, dtype=complex).tolist()
+    if np.isscalar(bands):
+        bands = [bands] * len(roots)
+    firsts, reach, groups = [], [], []
+    for i, r in enumerate(roots):
+        if firsts:
+            dists = [abs(r - first) for first in firsts]
+            dist = min(dists)
+            best = dists.index(dist)
+            if dist <= reach[best]:
+                groups[best].append(i)
+                continue
+        firsts.append(r)
+        reach.append(bands[i])
+        groups.append([i])
+    return groups
 
 
 # ---------------------------------------------------------------------------
@@ -484,22 +515,14 @@ class JordanLikeForm:
     form: np.ndarray
 
 
-def _nullspace(M: np.ndarray, tol: float) -> np.ndarray:
-    u, s, vh = np.linalg.svd(M)
-    if s.size == 0:
-        return np.eye(M.shape[1])
-    cutoff = max(tol, max(M.shape) * _EPS * float(s[0]))
-    null_dim = M.shape[1] - int(np.count_nonzero(s > cutoff))
-    if null_dim == 0:
-        return np.zeros((M.shape[1], 0))
-    return vh[-null_dim:].conj().T
-
-
 def jordan_like(A, tol: float = 1e-8) -> JordanLikeForm:
     """Eigenvector-chain canonical form for small (order <= 8) matrices.
 
     Chains satisfy (A - lambda I) x_{grade k} = x_{grade k-1}.  Intended for
     integer-like matrices only; ambiguous rank decisions raise IllConditioned.
+    Chain tops are picked from the top grade down: at grade k, the leading
+    singular directions of null(N^k) projected off null(N^(k-1)) and off
+    the grade-k links of the longer chains, all of which lie in null(N^k).
     """
     M = require_square(A)
     n = M.shape[0]
@@ -510,76 +533,50 @@ def jordan_like(A, tol: float = 1e-8) -> JordanLikeForm:
     columns: list[np.ndarray] = []
     spec: list[tuple[complex, int]] = []
     for lam, alg in zip(es.distinct_values, es.algebraic_multiplicity):
-        N = M.astype(complex) - lam * np.eye(n)
-        # null(N^k) dimensions up to stagnation
-        powers = [np.eye(n, dtype=complex)]
-        null_dims = [0]
-        while null_dims[-1] < alg:
-            powers.append(powers[-1] @ N)
-            dim = n - rank(powers[-1], tol=tol * max(1.0, float(np.linalg.norm(powers[-1]))))
-            if len(null_dims) > 1 and dim <= null_dims[-1]:
+        N = M - lam * np.eye(n)
+        nulls = [np.zeros((n, 0))]  # bases of null(N^k), k = 0, 1, ...
+        for Z in power_null_bases(M, lam, tol):
+            if Z.shape[1] <= nulls[-1].shape[1]:
                 raise IllConditioned(
                     "generalized eigenspace dimensions stagnated before reaching "
                     "the algebraic multiplicity"
                 )
-            null_dims.append(dim)
-        max_grade = len(null_dims) - 1
-        # blocks of size >= k: null_dims[k] - null_dims[k-1]
-        chain_tops: list[tuple[int, np.ndarray]] = []
-        chosen: list[np.ndarray] = []
-        for k in range(max_grade, 0, -1):
-            want = (null_dims[k] - null_dims[k - 1]) - sum(
-                1 for g, _ in chain_tops if g > k
-            )
-            if want <= 0:
+            nulls.append(Z)
+            if Z.shape[1] >= alg:
+                break
+        chains: list[list[np.ndarray]] = []  # each x, N x, ..., from its top
+        for k in range(len(nulls) - 1, 0, -1):
+            want = nulls[k].shape[1] - nulls[k - 1].shape[1] - len(chains)
+            if want < 0:
+                raise IllConditioned("null-space dimensions fit no chain structure")
+            if want == 0:
                 continue
-            Nk_null = _nullspace(powers[k], tol)
-            # candidates independent of null(N^{k-1}) and of existing chains
-            blockers = [_nullspace(powers[k - 1], tol)] if k > 1 else []
-            blockers += [c.reshape(-1, 1) for c in chosen]
-            proj_basis = (
-                np.linalg.qr(np.hstack(blockers))[0] if blockers else None
-            )
-            picked = 0
-            for j in range(Nk_null.shape[1]):
-                if picked == want:
-                    break
-                cand = Nk_null[:, j]
-                if proj_basis is not None:
-                    cand = cand - proj_basis @ (proj_basis.conj().T @ cand)
-                if np.linalg.norm(cand) > max(tol, 1e-6):
-                    cand = cand / np.linalg.norm(cand)
-                    chain_tops.append((k, cand))
-                    # record the whole chain as chosen directions
-                    vec = cand
-                    chosen.append(vec)
-                    for _ in range(k - 1):
-                        vec = N @ vec
-                        chosen.append(vec)
-                    if proj_basis is not None:
-                        blockers.append(cand.reshape(-1, 1))
-                        proj_basis = np.linalg.qr(np.hstack(blockers))[0]
-                    picked += 1
-            if picked < want:
+            links = [chain[len(chain) - k] for chain in chains]
+            Q = np.linalg.qr(np.column_stack([nulls[k - 1], *links]))[0]
+            u, s, _ = np.linalg.svd(nulls[k] - Q @ (Q.conj().T @ nulls[k]))
+            if s[want - 1] <= max(tol, 1e-6):
                 raise IllConditioned(
                     "could not separate eigenvector chains at the given tolerance"
                 )
-        # longest chains first gives a deterministic block order per eigenvalue
-        chain_tops.sort(key=lambda item: -item[0])
-        for grade, top in chain_tops:
-            chain = [top]
-            for _ in range(grade - 1):
-                chain.append(N @ chain[-1])
-            chain.reverse()  # grade 1 first
-            norm = np.linalg.norm(chain[0])
+            for j in range(want):
+                chain = [u[:, j]]
+                for _ in range(k - 1):
+                    chain.append(N @ chain[-1])
+                chains.append(chain)
+        for chain in chains:
+            foot = chain[-1]
+            norm = np.linalg.norm(foot)
             if norm < tol:
                 raise IllConditioned("degenerate chain foot")
             # scale so the grade-1 vector is unit with a positive leading entry
-            lead = chain[0][np.argmax(np.abs(chain[0]))]
+            lead = foot[np.argmax(np.abs(foot))]
             scale = norm * (lead / abs(lead))
-            columns.extend(v / scale for v in chain)
-            spec.append((complex(lam), grade))
+            columns.extend(v / scale for v in reversed(chain))
+            spec.append((complex(lam), len(chain)))
 
+    if len(columns) != n:
+        raise IllConditioned(
+            f"eigenvector chains give {len(columns)} columns for order {n}")
     T = np.column_stack(columns)
     if rank(T, tol=None) < n:
         raise IllConditioned("chain vectors do not form a basis")

@@ -139,20 +139,12 @@ class ResidueExpansion:
     direct: np.ndarray  # polynomial, highest first
 
 
-def _pole_gap_ok(poles, rtol=1e-7):
-    poles = np.asarray(poles)
-    for i in range(poles.size):
-        for j in range(i + 1, poles.size):
-            if abs(poles[i] - poles[j]) < rtol * (1.0 + abs(poles[i])):
-                return False
-    return True
-
-
 def residue_expansion(g: RationalFunction) -> ResidueExpansion:
     """Expansion k_i / (s - p_i); requires all denominator roots simple."""
     quot, rem = numkit.poly_divmod(g.num, g.den)
     poles = numkit.poly_roots(g.den)
-    if not _pole_gap_ok(poles):
+    groups = numkit.group_roots(poles, [1e-7 * (1.0 + abs(p)) for p in poles])
+    if len(groups) < poles.size:
         raise RepeatedPoles("denominator roots are not simple")
     dden = np.polyder(np.asarray(g.den, dtype=complex))
     residues = np.array(
@@ -313,36 +305,34 @@ def mimo_minimal_realization(
     entry may carry a repeated pole.
     """
     p_out, m_in = G.p, G.m
-    # expand every entry once; collect distinct poles across entries
-    all_poles = []
+    # expand every entry once; group the poles of all entries
+    poles, residues, where = [], [], []
     direct = np.zeros((p_out, m_in))
-    expansions = {}
     for i in range(p_out):
         for j in range(m_in):
-            exp = expansions[i, j] = _entry_expansion(G.entry(i, j))
+            exp = _entry_expansion(G.entry(i, j))
             if numkit.poly_degree(exp.direct) > 0:
                 raise ImproperTransferFunction(f"entry ({i},{j}) is improper")
             if numkit.poly_degree(exp.direct) == 0:
                 direct[i, j] = float(np.real(exp.direct[-1]))
-            all_poles.extend(exp.poles)
-    distinct = []
-    for p in all_poles:
-        if not any(abs(p - q) <= 1e-7 * (1.0 + abs(q)) for q in distinct):
-            distinct.append(p)
-    # deterministic order: real ascending first, then +imag pairs
-    reals = sorted([p.real for p in distinct if _is_real_root(p, 1e-7)])
-    pairs = sorted(
-        [p for p in distinct if not _is_real_root(p, 1e-7) and p.imag > 0],
-        key=lambda z: (z.real, z.imag),
-    )
-
-    def residue_matrix(pole):
+            poles.extend(exp.poles)
+            residues.extend(exp.residues)
+            where.extend([(i, j)] * exp.poles.size)
+    # each group's residue matrix sums its own members; its first is its pole
+    groups = []
+    for members in numkit.group_roots(
+            poles, [1e-7 * (1.0 + abs(p)) for p in poles]):
         R = np.zeros((p_out, m_in), dtype=complex)
-        for (i, j), exp in expansions.items():
-            for q, k in zip(exp.poles, exp.residues):
-                if abs(q - pole) <= 1e-7 * (1.0 + abs(pole)):
-                    R[i, j] += k
-        return R
+        for k in members:
+            R[where[k]] += residues[k]
+        groups.append((poles[members[0]], R))
+    # deterministic order: real ascending first, then +imag pairs
+    reals = sorted(((p.real, R) for p, R in groups if _is_real_root(p, 1e-7)),
+                   key=lambda item: item[0])
+    pairs = sorted(
+        ((p, R) for p, R in groups if not _is_real_root(p, 1e-7) and p.imag > 0),
+        key=lambda item: (item[0].real, item[0].imag),
+    )
 
     def split(R):
         U, s, Vh = np.linalg.svd(R)
@@ -361,16 +351,14 @@ def mimo_minimal_realization(
     blocks = []
     Bcols = []
     Crows = []
-    for pr in reals:
-        R = residue_matrix(complex(pr, 0.0))
+    for pr, R in reals:
         Ci, Bi = split(R.real)
         r = Ci.shape[1]
         for k in range(r):
             blocks.append(np.array([[pr]]))
             Bcols.append(Bi[k:k + 1, :])
             Crows.append(Ci[:, k:k + 1])
-    for pz in pairs:
-        R = residue_matrix(pz)
+    for pz, R in pairs:
         Ci, Bi = split(R)
         r = Ci.shape[1]
         sig, om = pz.real, pz.imag

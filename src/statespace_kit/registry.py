@@ -44,8 +44,10 @@ def _magnetic_ball(params: Optional[Mapping[str, float]]) -> NonlinearModel:
 
     def f(x: np.ndarray, u: np.ndarray, t: float) -> np.ndarray:
         # vertical force balance for a ball under an electromagnet;
-        # x[0] is the air gap, so f blows up as the gap closes
-        return np.array([x[1], g - (c / m) * u[0] ** 2 / x[0] ** 2])
+        # x[0] is the air gap, so f blows up as the gap closes, and the
+        # march reports the blow-up itself
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            return np.array([x[1], g - (c / m) * u[0] ** 2 / x[0] ** 2])
 
     def h(x: np.ndarray, u: np.ndarray, t: float) -> np.ndarray:
         return np.array([x[0]])

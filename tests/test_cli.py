@@ -178,6 +178,28 @@ def test_realize_minimal_cancels_the_matching_factor(tmp_path, c):
     assert poles[0]["im"] == 0.0
 
 
+def test_realize_minimal_counts_each_residue_once(tmp_path):
+    from statespace_kit import cli
+
+    # -1.00000012 lies in the bands of both -1 and -1.0000003, and belongs
+    # to the group of the nearer, -1
+    entries = [[{"num": [1.0], "den": [1.0, 1.0]},
+                {"num": [1.0], "den": [1.0, 1.0000003]}],
+               [{"num": [1.0], "den": [1.0, 1.00000012]},
+                {"num": [0.0], "den": [1.0]}]]
+    inp = write_json(tmp_path / "in.json",
+                     {"form": "minimal", "transfer": {"entries": entries}})
+    out = tmp_path / "out"
+    assert cli.main(["realize", "--input", inp, "--out", str(out)]) == 0
+    ss = read_report(out)["results"]["realization"]
+    A, B, C, D = (np.array(ss[key]) for key in "ABCD")
+    assert ss["stateDimension"] == 2
+    s = 0.5j
+    G = C @ np.linalg.solve(s * np.eye(len(A)) - A, B) + D
+    plant = [[1 / (s + 1.0), 1 / (s + 1.0000003)], [1 / (s + 1.00000012), 0.0]]
+    np.testing.assert_allclose(G, plant, rtol=1e-6, atol=1e-12)
+
+
 def test_simulate_trajectory_csv(tmp_path):
     doc = {
         "model": {"type": "lti", "A": [[0.0, 1.0], [-2.0, -3.0]],
@@ -206,9 +228,7 @@ BLOW_UPS = [
 ]
 
 
-# the magnetic ball's rate stays a numpy expression, which warns as it
-# overflows
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("model,x0,u,t1", BLOW_UPS,
                          ids=[case[0]["name"] for case in BLOW_UPS])
 def test_simulate_nonlinear_blow_up_is_truncated(tmp_path, capsys, model, x0,
@@ -1019,6 +1039,10 @@ def test_cold_command_loads_only_its_modules(tmp_path, command, doc):
     assert library <= COMMAND_MODULES[command]
 
 
+_TPBVP = {"model": _SS, "Q": [[1.0, 0.0], [0.0, 1.0]], "R": [[1.0]],
+          "x0": [1.0, 0.0], "x1": [0.0, 0.0], "t0": 0.0, "t1": 1.0}
+_MARGINS = {"model": _SS, "Q": [[1.0, 0.0], [0.0, 0.0]], "R": [[1.0]]}
+
 # documents refused by one field: (command, document, JSON pointer, limit).
 # With a limit, LIMITS[limit] is set to 3 and the run exits 1 with
 # WorkBudgetExceeded in report.json; without one it exits 2.
@@ -1049,6 +1073,40 @@ FIELD_CASES = [
      "/samples", "profile"),
     ("margins", {"model": _SS, "Q": [[1.0, 0.0], [0.0, 0.0]], "R": [[1.0]],
                  "omega": {"count": 4}}, "/omega/count", "count"),
+    # empty and reversed horizons
+    ("lqr", dict(lqr_doc(), t0=1.0, t1=1.0), "/t1", None),
+    ("lqr", dict(lqr_doc(), t0=2.0, t1=1.0), "/t1", None),
+    ("tpbvp", dict(_TPBVP, t1=0.0), "/t1", None),
+    ("tpbvp", dict(_TPBVP, t0=2.0), "/t1", None),
+    # each weight refusal at its own field
+    ("lqr", dict(lqr_doc(), Q=[[1.0, 0.0], [0.0, -1.0]]), "/Q", None),
+    ("lqr", dict(lqr_doc(), R=[[1.0, 0.0], [0.0, 0.0]]), "/R", None),
+    ("lqr", dict(lqr_doc(), t1=1.0, M=[[1.0, 0.0], [0.0, -1.0]]), "/M", None),
+    ("margins", dict(_MARGINS, Q=[[1.0, 0.0], [0.0, -1.0]]), "/Q", None),
+    ("margins", dict(_MARGINS, R=[[-1.0]]), "/R", None),
+    ("margins", dict(_MARGINS, M=[[-1.0, 0.0], [0.0, 1.0]]), "/M", None),
+    # pole counts other than the design's order
+    ("place", {"model": _SS, "poles": [-1.0]}, "/poles", None),
+    ("integral", {"model": _SS, "poles": [-1.0, -2.0]}, "/poles", None),
+    ("observer", {"model": _SS, "observer_poles": [-6.0]}, "/observer_poles",
+     None),
+    ("observer", {"model": _SS, "observer_poles": [-6.0, -7.0],
+                  "reduced": True}, "/observer_poles", None),
+    ("observer", {"model": _SS, "observer_poles": [-6.0, -7.0],
+                  "state_poles": [-1.0, -2.0, -3.0]}, "/state_poles", None),
+    # diophantine targets and plants
+    ("diophantine", {"plant": _TF, "alpha_c": [1.0, 2.0],
+                     "alpha_o": [1.0, 11.0, 30.0]}, "/alpha_c", None),
+    ("diophantine", {"plant": _TF, "alpha_c": [1.0, 2.0, 2.0],
+                     "alpha_o": [2.0, 11.0, 30.0]}, "/alpha_o", None),
+    ("diophantine", {"plant": {"entries": [[_TF], [_TF]]},
+                     "alpha_c": [1.0, 2.0, 2.0], "alpha_o": [1.0, 11.0, 30.0]},
+     "/plant", None),
+    ("diophantine", {"plant": {"num": [1.0], "den": [2.0]}, "alpha_c": [1.0],
+                     "alpha_o": [1.0]}, "/plant", None),
+    ("srl", {"model": {"type": "lti", "A": [[-1.0]], "B": [[1.0, 1.0]],
+                       "C": [[1.0]]}}, "/model", None),
+    ("tpbvp", {"kind": "bilinear", "x0": 0.0, "t1": 2.0}, "/x0", None),
 ]
 
 

@@ -13,8 +13,11 @@ from conftest import rng, sorted_complex
 from statespace_kit import lqr as lqr_module
 from statespace_kit import numkit
 from statespace_kit.errors import (
+    ArgumentError,
+    AxisEigenvalue,
     NotDetectable,
     NotStabilizable,
+    RepeatedHamiltonianEigenvalues,
     StableSpaceDefect,
     WorkBudgetExceeded,
 )
@@ -62,13 +65,18 @@ def scalar_unstable_problem(t1=None, M=None):
 
 def test_problem_rejects_bad_weights():
     sys = state_space(np.array([[-1.0]]), np.array([[1.0]]))
-    with pytest.raises(ValueError):
-        LqrProblem(sys, Q=np.array([[1.0]]), R=np.array([[0.0]]))
-    with pytest.raises(ValueError):
-        LqrProblem(sys, Q=np.array([[-1.0]]), R=np.array([[1.0]]))
-    with pytest.raises(ValueError):
-        LqrProblem(sys, Q=np.array([[1.0]]), R=np.array([[1.0]]),
-                   M=np.array([[-1.0]]), t1=1.0)
+    for name, change in [
+        ("R", {"R": np.array([[0.0]])}),
+        ("Q", {"Q": np.array([[-1.0]])}),
+        ("M", {"M": np.array([[-1.0]]), "t1": 1.0}),
+        ("t1", {"t0": 1.0, "t1": 1.0}),
+        ("t1", {"t0": 2.0, "t1": 1.0}),
+    ]:
+        args = dict({"Q": np.array([[1.0]]), "R": np.array([[1.0]])}, **change)
+        with pytest.raises(ValueError) as info:
+            LqrProblem(sys, **args)
+        assert isinstance(info.value, ArgumentError)
+        assert info.value.name == name
 
 
 def test_state_cost_factor_squares_to_weight():
@@ -374,6 +382,23 @@ def test_hamiltonian_route_matches_terminal_weight():
     sol = solve_rde_by_hamiltonian(
         scalar_unstable_problem(t1=2.0, M=np.array([[5.0]])))
     np.testing.assert_allclose(sol.P_at(2.0), [[5.0]], atol=1e-9)
+
+
+def test_hamiltonian_route_refuses_axis_eigenvalues():
+    # a rotation with zero state weight: H carries the spectrum of A
+    sys = state_space(np.array([[0.0, 1.0], [-1.0, 0.0]]),
+                      np.array([[0.0], [1.0]]))
+    prob = LqrProblem(sys, Q=np.zeros((2, 2)), R=np.array([[1.0]]), t1=1.0)
+    with pytest.raises(AxisEigenvalue):
+        solve_rde_by_hamiltonian(prob)
+
+
+def test_hamiltonian_route_refuses_repeated_eigenvalues():
+    # two identical decoupled channels: each eigenvalue of H comes twice
+    prob = LqrProblem(state_space(-np.eye(2), np.eye(2)), Q=np.eye(2),
+                      R=np.eye(2), t1=1.0)
+    with pytest.raises(RepeatedHamiltonianEigenvalues):
+        solve_rde_by_hamiltonian(prob)
 
 
 def test_hamiltonian_route_fixed_point():

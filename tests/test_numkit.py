@@ -4,6 +4,7 @@ import pytest
 from conftest import golden_phi_2m3, random_stable_diagonalizable, rng
 from statespace_kit import numkit
 from statespace_kit.errors import (
+    IllConditioned,
     NonSquare,
     NotSymmetric,
     SingularBasis,
@@ -52,6 +53,14 @@ def test_eigen_multiplicities_wait_for_first_read(linalg_calls):
     assert linalg_calls["svd"] == 60
     assert eig.is_diagonalizable
     assert linalg_calls["svd"] == 60
+
+
+def test_eigen_similar_scalar_matrix_is_diagonalizable():
+    # A is -2I up to rounding, so A + 2I is all rounding and has no rank
+    T = np.array([[3.0, 1.0, 0.0], [2.0, 3.0, -1.0], [1.0, 0.0, 4.0]])
+    eig = numkit.eigen(T @ (-2.0 * np.eye(3)) @ np.linalg.inv(T))
+    assert list(eig.algebraic_multiplicity) == [3]
+    assert list(eig.geometric_multiplicity) == [3]
 
 
 def test_eigen_rejects_rectangular():
@@ -116,6 +125,38 @@ def test_match_roots_none_and_empty_inputs():
 
 def test_match_roots_ties_go_to_the_lower_index():
     assert numkit.match_roots([0.0], [1.0, -1.0, 1j], 1.0) == [0]
+
+
+def test_group_roots_joins_the_nearest_first_root_not_the_first_in_band():
+    # 1.4 lies in the bands of both first roots; 2.0 is the nearer
+    assert numkit.group_roots([0.5, 2.0, 1.4], 1.0) == [[0], [1, 2]]
+    # the nearest first root decides, even when its band is too narrow
+    assert numkit.group_roots([0.5, 2.0, 1.4], [1.0, 0.1, 0.0]) == [
+        [0], [1], [2]]
+
+
+def test_group_roots_measures_from_the_first_root_of_a_group():
+    # 1.8 is within 1 of the member 1.0 but not of the first root 0.0
+    assert numkit.group_roots([0.0, 1.0, 1.8], 1.0) == [[0, 1], [2]]
+
+
+def test_group_roots_band_per_root():
+    roots = [1e-8, 1.0, 1e8 + 1j, 1.0 + 1e-9, 2e-8, 1e8 + 1j + 1.0]
+    assert numkit.group_roots(roots, [1e-7, 1e-6, 10.0, 0.0, 0.0, 0.0]) == [
+        [0, 4], [1, 3], [2, 5]]
+    # a band belongs to the first root of its group
+    assert numkit.group_roots(roots, [1e-9, 1e-6, 0.5, 1.0, 1.0, 1.0]) == [
+        [0], [1, 3], [2], [4], [5]]
+
+
+def test_group_roots_ties_go_to_the_earlier_group():
+    assert numkit.group_roots([1.0, -1.0, 0.0], 1.0) == [[0, 2], [1]]
+    assert numkit.group_roots([1j, -1j, 0.0], [1.0, 1.0, 0.0]) == [[0, 2], [1]]
+
+
+def test_group_roots_empty_input():
+    assert numkit.group_roots([], 1.0) == []
+    assert numkit.group_roots(np.array([]), []) == []
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +450,49 @@ def test_jordan_like_nilpotent_block():
     lam, size = jf.block_spec[0]
     assert abs(complex(lam)) <= 1e-9
     assert size == 2
+
+
+JORDAN_STRUCTURES = [(2, 1), (2, 2), (2, 1, 1), (3, 1), (3, 3), (3, 2, 1),
+                     (4, 2)]
+
+
+def jordan_matrix(lam, sizes):
+    n = sum(sizes)
+    J = lam * np.eye(n)
+    at = 0
+    for size in sizes:
+        J[at:at + size - 1, at + 1:at + size] += np.eye(size - 1)
+        at += size
+    return J
+
+
+def block_sizes(jf):
+    return sorted((size for _, size in jf.block_spec), reverse=True)
+
+
+@pytest.mark.parametrize("lam", [0.0, 2.0])
+@pytest.mark.parametrize("sizes", JORDAN_STRUCTURES, ids=str)
+def test_jordan_like_finds_the_block_sizes(sizes, lam):
+    J = jordan_matrix(lam, sizes)
+    assert block_sizes(numkit.jordan_like(J)) == list(sizes)
+    gen = rng(29)
+    n = J.shape[0]
+    for _ in range(4):
+        T = gen.integers(-2, 3, size=(n, n)) + 3.0 * np.eye(n)
+        if abs(np.linalg.det(T)) < 0.5:  # an integer matrix: singular
+            continue
+        A = T @ J @ np.linalg.inv(T)
+        if max(sizes) <= 2:
+            assert block_sizes(numkit.jordan_like(A)) == list(sizes)
+            continue
+        # a block of 3 or more splits its computed eigenvalues by about
+        # eps^(1/3) ||A||, beyond the clustering band: the blocks are found
+        # or the form is refused, never anything else
+        try:
+            jf = numkit.jordan_like(A)
+        except IllConditioned:
+            continue
+        assert block_sizes(jf) == list(sizes)
 
 
 # ---------------------------------------------------------------------------
