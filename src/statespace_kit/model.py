@@ -36,9 +36,15 @@ class StateSpace:
 
     def __post_init__(self):
         A = numkit.require_square(self.A)
-        B = numkit.as_matrix(self.B) if np.size(self.B) else np.zeros((A.shape[0], 0))
-        C = numkit.as_matrix(self.C) if np.size(self.C) else np.zeros((0, A.shape[0]))
         n = A.shape[0]
+        # an empty B with n rows keeps its columns, and an empty C with n
+        # columns its rows: a model without states keeps its inputs and outputs
+        B = numkit.as_matrix(self.B) if np.size(self.B) else np.zeros(
+            np.shape(self.B) if np.ndim(self.B) == 2 and len(self.B) == n
+            else (n, 0))
+        C = numkit.as_matrix(self.C) if np.size(self.C) else np.zeros(
+            np.shape(self.C) if np.ndim(self.C) == 2 and np.shape(self.C)[1] == n
+            else (0, n))
         if B.shape[0] != n:
             raise ValueError(f"B must have {n} rows, got {B.shape[0]}")
         if C.shape[1] != n:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -51,6 +51,48 @@ def as_vector(x, dtype=float) -> np.ndarray:
     if not np.isfinite(v).all():
         raise ValueError("vector entries must be finite")
     return v
+
+
+# ---------------------------------------------------------------------------
+# LAPACK beyond numpy
+
+
+@cache
+def lapack():
+    """scipy's LAPACK extension module, for the routines numpy lacks (dgees).
+
+    The module is loaded from its file, scipy/linalg/_flapack*.so, without
+    running scipy/__init__ or scipy/linalg/__init__: importing the scipy.linalg
+    package costs about 0.24 s and 20 MB per process, the extension alone a
+    few ms. The extension registers itself as scipy.linalg._flapack, so a
+    later import of scipy.linalg reuses it. When the file cannot be found or
+    loaded, this returns scipy.linalg.lapack, which exposes the same routines.
+    """
+    import importlib.machinery
+    import importlib.util
+    import os
+
+    spec = None
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is not None and scipy.origin is not None:
+        folder = os.path.join(os.path.dirname(scipy.origin), "linalg")
+        paths = [os.path.join(folder, "_flapack" + suffix)
+                 for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+        found = [path for path in paths if os.path.isfile(path)]
+        if found:
+            spec = importlib.util.spec_from_file_location(
+                "scipy.linalg._flapack", found[0])
+    if spec is not None:
+        try:
+            # module_from_spec loads the shared object and runs its init
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+        except ImportError:
+            pass
+    from scipy.linalg import lapack as module
+
+    return module
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import numkit
-from .errors import SingularLyapunovOperator
+from .errors import BackendFailure, SingularLyapunovOperator
 from .model import Equilibrium, NonlinearModel, linearize_at_equilibrium
 
 ASYMPTOTICALLY_STABLE = "asymptoticallyStable"
@@ -78,16 +79,21 @@ def solve_lyapunov(A, Q) -> np.ndarray:
 
     Solvable exactly when no two eigenvalues of A are negatives of each
     other; such a pair raises SingularLyapunovOperator. Schur reduction
-    keeps the cost O(n^3), so there is no size limit.
+    keeps the cost O(n^3), so there is no size limit. The steps are those
+    of scipy.linalg.solve_continuous_lyapunov(A.T, -Q), so P has its bits:
+    the real Schur form A' = U T U', F = U'(-Q)U, the triangular Sylvester
+    solve T'Y + YT = F by LAPACK dtrsyl, and P = U Y U'.
     """
     A = numkit.require_square(A)
     Q = numkit.require_square(Q)
     n = A.shape[0]
     if Q.shape[0] != n:
         raise ValueError("Q must match A in size")
-    lam = np.linalg.eigvals(A)
+    if n == 0:
+        return np.empty((0, 0))
+    T, U, _, lam = _real_schur(A.T)
     scale = 1.0 + float(np.max(np.abs(lam), initial=0.0))
-    # pairs (i, j) with i <= j in row order, so the first hit is reported
+    # pairs (i, j) with i <= j in Schur order, so the first hit is reported
     sums = np.abs(lam[:, None] + lam[None, :])
     hits = np.argwhere(np.triu(sums <= 1e-9 * scale))
     if hits.size:
@@ -95,12 +101,44 @@ def solve_lyapunov(A, Q) -> np.ndarray:
         raise SingularLyapunovOperator(
             f"eigenvalue pair sums to zero: {lam[i]:.6g}, {lam[j]:.6g}"
         )
-    # scipy loads here, not with the package: importing it is most of a
-    # cold CLI start, and most commands never call it
-    import scipy.linalg
-
-    P = scipy.linalg.solve_continuous_lyapunov(A.T, -Q)
+    F = U.T.dot((-Q).dot(U))
+    Y, factor, info = numkit.lapack().dtrsyl(T, T, F, tranb="T")
+    if info < 0:
+        raise ValueError(f"dtrsyl: illegal value in argument {-info}")
+    if info == 1:
+        # dtrsyl perturbed T to solve, which the pair test's band did not
+        # foresee; scipy warns the same way
+        warnings.warn("A has an eigenvalue pair whose sum is very close to or "
+                      "exactly zero; the solution is obtained by perturbing "
+                      "the coefficients", RuntimeWarning, stacklevel=2)
+    Y *= factor
+    P = U.dot(Y).dot(U.T)
     return 0.5 * (P + P.T)
+
+
+def _real_schur(a, select=None):
+    """Real Schur form a = Z T Z' by LAPACK dgees: (T, Z, sdim, eigenvalues).
+
+    Called as scipy.linalg.schur(a, output="real", sort=select) calls it,
+    a workspace query and then the factorization, so T and Z have its bits.
+    select(re, im) moves the eigenvalues it accepts to the leading sdim
+    places; without it nothing is reordered and sdim is 0. The eigenvalues
+    are read off T, in its order.
+    """
+    gees = numkit.lapack().dgees
+    lwork = int(gees(lambda x: None, a, lwork=-1)[-2][0])
+    T, sdim, wr, wi, Z, _, info = gees(
+        select or (lambda x: None), a, lwork=lwork, sort_t=int(bool(select)))
+    if info < 0:
+        raise ValueError(f"dgees: illegal value in argument {-info}")
+    if info > 0:
+        n = a.shape[0]
+        reason = {n + 1: "eigenvalues could not be separated for reordering",
+                  n + 2: "leading eigenvalues do not satisfy the sort condition"}
+        raise BackendFailure(
+            "real Schur form failed: "
+            + reason.get(info, "QR iteration did not converge"))
+    return T, Z, sdim, wr + 1j * wi
 
 
 def lyapunov_stability_test(A, Q=None) -> tuple:
@@ -144,14 +182,14 @@ def stability_subspaces(A, tol: float = None) -> StabilitySubspaces:
     within tol, and above tol. Repeated and defective eigenvalues split like
     any other, a Jordan block contributing its generalized eigenvectors.
     """
-    from scipy.linalg import schur
-
     A = numkit.require_square(A)
     if tol is None:
         tol = 1e-9 * (1.0 + float(np.linalg.norm(A, 2) if A.size else 0.0))
 
     def leading(part):
-        Z, dim = schur(A, output="real", sort=part)[1:]
+        if not A.size:
+            return np.empty((0, 0))
+        Z, dim = _real_schur(A, part)[1:3]
         return Z[:, :dim]
 
     return StabilitySubspaces(
@@ -191,7 +229,9 @@ def quadratic_lyapunov_scan(
     transformed remaining coordinates). Certification requires the decay
     rate 2 x'P f(x) to clear -margin * |x|^2 at every sample.
     """
-    from scipy.special import erfinv  # deferred: see solve_lyapunov
+    # deferred: importing scipy is most of a cold CLI start, and no
+    # command calls this
+    from scipy.special import erfinv
 
     P = numkit.require_square(P)
     n = P.shape[0]

@@ -200,6 +200,39 @@ def test_realize_minimal_counts_each_residue_once(tmp_path):
     np.testing.assert_allclose(G, plant, rtol=1e-6, atol=1e-12)
 
 
+@pytest.mark.parametrize("form", ["ccf", "ocf", "modal", "minimal"])
+def test_realize_static_gain_has_no_states(tmp_path, form):
+    from statespace_kit import cli
+
+    inp = write_json(tmp_path / "in.json",
+                     {"form": form, "transfer": {"num": [2.0], "den": [1.0]}})
+    out = tmp_path / "out"
+    assert cli.main(["realize", "--input", inp, "--out", str(out)]) == 0
+    ss = read_report(out)["results"]["realization"]
+    assert ss == {"A": [], "B": [], "C": [[]], "D": [[2.0]],
+                  "stateDimension": 0}
+
+
+def test_reduced_observer_of_full_state_outputs_is_static(tmp_path):
+    from statespace_kit import cli
+
+    # C measures every state, so the estimate is C^-1 y with no dynamics
+    model = {"type": "lti", "A": [[0.0, 1.0], [-2.0, -3.0]],
+             "B": [[0.0], [1.0]], "C": [[1.0, 1.0], [0.0, 2.0]]}
+    inp = write_json(tmp_path / "in.json",
+                     {"model": model, "observer_poles": [-5.0],
+                      "reduced": True})
+    out = tmp_path / "out"
+    assert cli.main(["observer", "--input", inp, "--out", str(out)]) == 0
+    results = read_report(out)["results"]
+    est = results["estimator"]
+    assert est["stateDimension"] == 0 and est["A"] == [] and results["L"] == []
+    assert est["C"] == [[], []]
+    # inputs stacked [y; u]
+    np.testing.assert_allclose(np.array(est["D"]),
+                               [[1.0, -0.5, 0.0], [0.0, 0.5, 0.0]], atol=1e-15)
+
+
 def test_simulate_trajectory_csv(tmp_path):
     doc = {
         "model": {"type": "lti", "A": [[0.0, 1.0], [-2.0, -3.0]],
@@ -862,34 +895,37 @@ def test_only_stability_and_infinite_horizon_grammians_reach_scipy(tmp_path):
         runs.append([command, write_json(tmp_path / f"{i}.json", doc),
                      str(tmp_path / f"out{i}")])
     stable = write_json(tmp_path / "stable.json", {"model": ss})
+    scipy = ("def scipy():\n"
+             "    return sorted(m for m in sys.modules"
+             " if m.split('.')[0] == 'scipy')\n")
     code = (
         "import json, sys\n"
         "from statespace_kit import cli\n"
-        "def scipy():\n"
-        "    return sorted(m for m in sys.modules"
-        " if m.split('.')[0] == 'scipy')\n"
+        + scipy +
         f"runs = {runs!r}\n"
         "codes = [cli.main([c, '--input', i, '--out', o]) for c, i, o in runs]\n"
         "before = scipy()\n"
         f"rc = cli.main(['stability', '--input', {stable!r},"
         f" '--out', {str(tmp_path / 'stab')!r}])\n"
-        "print(json.dumps([codes, before, rc, 'scipy.linalg' in sys.modules]))\n"
+        "print(json.dumps([codes, before, rc, scipy()]))\n"
     )
-    codes, before, rc, linalg_loaded = _scipy_loaded(code)
+    codes, before, rc, after = _scipy_loaded(code)
     assert codes == [0] * len(docs)
-    assert rc == 0 and linalg_loaded
-    assert "lyapunovP" in read_report(tmp_path / "stab")["results"]
     assert before == []
+    # the Lyapunov solve loads scipy's LAPACK extension, not the package
+    assert rc == 0 and after == ["scipy.linalg._flapack"]
+    assert "lyapunovP" in read_report(tmp_path / "stab")["results"]
     infinite = write_json(tmp_path / "infinite.json",
                           {"model": ss, "horizon": [0.0, None]})
     code = (
         "import json, sys\n"
         "from statespace_kit import cli\n"
+        + scipy +
         f"rc = cli.main(['structural', '--input', {infinite!r},"
         f" '--out', {str(tmp_path / 'infinite')!r}])\n"
-        "print(json.dumps([rc, 'scipy.linalg' in sys.modules]))\n"
+        "print(json.dumps([rc, scipy()]))\n"
     )
-    assert _scipy_loaded(code) == [0, True]
+    assert _scipy_loaded(code) == [0, ["scipy.linalg._flapack"]]
 
 
 def _module_level_imports(tree):

@@ -2,6 +2,11 @@
 invariant subspaces, sampled region certification, linearization verdicts,
 input-output stability."""
 
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -11,6 +16,7 @@ from statespace_kit.errors import SingularLyapunovOperator
 from statespace_kit.model import Equilibrium, NonlinearModel
 from statespace_kit.realization import rational
 from statespace_kit.stability import (
+    _real_schur,
     bibo_stability,
     linearization_verdict,
     lti_stability,
@@ -175,6 +181,86 @@ def test_lyapunov_verdict_agrees_with_eigen_test():
     assert checked >= 15
 
 
+@pytest.fixture(params=["extension", "fallback"])
+def lapack_route(request, monkeypatch):
+    """numkit.lapack() loading the extension by file, or, with the file spec
+    failing, falling back to the scipy.linalg.lapack module."""
+    import importlib.util
+
+    numkit.lapack.cache_clear()
+    if request.param == "fallback":
+        monkeypatch.setattr(importlib.util, "spec_from_file_location",
+                            lambda *args, **kwargs: None)
+    yield request.param
+    numkit.lapack.cache_clear()
+
+
+def _stable_draws(seed):
+    """(A, Q) pairs: n from 1 to 30, and 160, where dgees's blocked QR
+    depends on the workspace size, at three scales, Q identity or a random
+    positive semidefinite matrix."""
+    gen = rng(seed)
+    for n in [*range(1, 31), 160]:
+        for scale in (1e-3, 1.0, 1e3):
+            A = gen.normal(size=(n, n))
+            shift = np.max(np.linalg.eigvals(A).real) + gen.uniform(0.1, 2.0)
+            F = gen.normal(size=(n, int(gen.integers(1, n + 1))))
+            for Q in (np.eye(n), F @ F.T):
+                yield scale * (A - shift * np.eye(n)), Q
+
+
+def test_lyapunov_has_the_bits_of_scipy(lapack_route):
+    # the solve follows scipy.linalg.solve_continuous_lyapunov step for step;
+    # a scipy whose routines or wrappers change must fail here
+    import scipy.linalg
+
+    count = 0
+    for A, Q in _stable_draws(71):
+        ref = scipy.linalg.solve_continuous_lyapunov(A.T, -Q)
+        np.testing.assert_array_equal(solve_lyapunov(A, Q), 0.5 * (ref + ref.T))
+        count += 1
+    assert count == 186
+    assert (numkit.lapack() is scipy.linalg.lapack) == (lapack_route == "fallback")
+
+
+def test_lyapunov_empty_and_non_finite():
+    assert solve_lyapunov(np.zeros((0, 0)), np.zeros((0, 0))).shape == (0, 0)
+    with pytest.raises(ValueError, match="finite"):
+        solve_lyapunov([[np.nan, 0.0], [0.0, -1.0]], np.eye(2))
+    with pytest.raises(ValueError, match="finite"):
+        solve_lyapunov(-np.eye(2), [[np.inf, 0.0], [0.0, 1.0]])
+
+
+def test_lyapunov_warns_when_dtrsyl_perturbs():
+    # the eigenvalues 1 and -1 + 1e-8 clear the pair band, but beside the
+    # 1e12 coupling dtrsyl must perturb them, and says so as scipy does
+    import scipy.linalg
+
+    A = np.array([[1.0, 1e12], [0.0, -1.0 + 1e-8]])
+    with pytest.warns(RuntimeWarning, match="perturbing"):
+        P = solve_lyapunov(A, np.eye(2))
+    with pytest.warns(RuntimeWarning):
+        ref = scipy.linalg.solve_continuous_lyapunov(A.T, -np.eye(2))
+    np.testing.assert_array_equal(P, 0.5 * (ref + ref.T))
+
+
+def test_lapack_loader_leaves_the_scipy_package_unloaded():
+    # a later import of scipy.linalg reuses the loaded extension
+    code = (
+        "import json, sys\n"
+        "from statespace_kit import numkit\n"
+        "module = numkit.lapack()\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        "import scipy.linalg\n"
+        "print(json.dumps([loaded, scipy.linalg.lapack._flapack is module]))\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [["scipy.linalg._flapack"], True]
+
+
 # ---------------------------------------------------------------------------
 # invariant subspaces
 
@@ -220,7 +306,7 @@ def test_subspace_complex_pair_real_basis():
     assert np.isrealobj(pair.stable)
 
 
-@pytest.mark.parametrize("A, dims", [
+SPLIT_CASES = [
     (np.eye(2), (0, 0, 2)),
     (np.array([[0.0, 1.0], [0.0, 0.0]]), (0, 2, 0)),
     # a defective stable block beside a rotation
@@ -230,7 +316,11 @@ def test_subspace_complex_pair_real_basis():
     (np.array([[-1.0, 2.0, 0.0, 0.0, 0.0], [-2.0, -1.0, 0.0, 0.0, 0.0],
                [0.0, 0.0, -1.0, 2.0, 1.0], [0.0, 0.0, -2.0, -1.0, 0.0],
                [0.0, 0.0, 0.0, 0.0, 3.0]]), (4, 0, 1)),
-], ids=["identity", "nilpotent", "jordan-and-rotation", "repeated-pair"])
+]
+
+
+@pytest.mark.parametrize("A, dims", SPLIT_CASES, ids=[
+    "identity", "nilpotent", "jordan-and-rotation", "repeated-pair"])
 def test_subspace_splits_repeated_and_defective_eigenvalues(A, dims):
     pair = stability_subspaces(A)
     parts = (pair.stable, pair.center, pair.unstable)
@@ -239,6 +329,34 @@ def test_subspace_splits_repeated_and_defective_eigenvalues(A, dims):
     for V in parts:
         np.testing.assert_allclose(V.T @ V, np.eye(V.shape[1]), atol=1e-12)
         assert np.linalg.norm(A @ V - V @ (V.T @ A @ V), 2) <= 1e-12 * norm
+
+
+def test_subspaces_have_the_bits_of_scipy_schur():
+    # the sorted dgees call is scipy.linalg.schur(..., sort=callable)'s
+    import scipy.linalg
+
+    gen = rng(73)
+    cases = [A for A, _ in SPLIT_CASES]
+    for n in range(1, 13):
+        cases.append(gen.normal(size=(n, n)))
+        # a repeated and a defective eigenvalue, under a similarity
+        J = np.diag(gen.choice([-1.0, 0.0, 2.0], size=n))
+        J += np.diag(gen.integers(0, 2, size=n - 1).astype(float), 1)
+        V = gen.normal(size=(n, n))
+        cases.append(V @ J @ np.linalg.inv(V))
+    for A in cases:
+        tol = 1e-9 * (1.0 + np.linalg.norm(A, 2))
+        pair = stability_subspaces(A)
+        parts = (pair.stable, pair.center, pair.unstable)
+        for part, select in zip(parts, (lambda re, im: re < -tol,
+                                        lambda re, im: abs(re) <= tol,
+                                        lambda re, im: re > tol)):
+            T, Z, sdim = scipy.linalg.schur(A, output="real", sort=select)
+            mine = _real_schur(A, select)
+            np.testing.assert_array_equal(mine[0], T)
+            np.testing.assert_array_equal(mine[1], Z)
+            assert mine[2] == sdim
+            np.testing.assert_array_equal(part, Z[:, :sdim])
 
 
 # ---------------------------------------------------------------------------
