@@ -173,10 +173,10 @@ def _scalar_or_pair(value, loc: str) -> complex:
     _fail("expected a number, [re, im], or {re, im}", loc)
 
 
-def _pole_list(value, loc: str, count: Optional[int] = None) -> List[complex]:
-    if not isinstance(value, list) or not value:
-        _fail("non-empty array of poles expected", loc)
-    if count is not None and len(value) != count:
+def _pole_list(value, loc: str, count: int) -> List[complex]:
+    if not isinstance(value, list):
+        _fail("array of poles expected", loc)
+    if len(value) != count:
         _fail(f"expected {count} poles, got {len(value)}", loc)
     return [_scalar_or_pair(v, f"{loc}/{i}") for i, v in enumerate(value)]
 
@@ -615,9 +615,9 @@ def _h_observer(doc, tol, seed):
     reduced = doc.get("reduced")
     reduced = reduced is not None and _boolean(reduced, "/reduced")
     # a reduced observer places the n - p unmeasured directions, if any
-    count = sys.n - sys.p if reduced else sys.n
+    count = max(sys.n - sys.p, 0) if reduced else sys.n
     op = _pole_list(_require(doc, "observer_poles", "/"), "/observer_poles",
-                    count if count > 0 else None)
+                    count)
     verify_tol = tol.get("verify_tol", 1e-6)
     if reduced:
         design = synthesis.reduced_order_observer(sys, op)
@@ -673,6 +673,9 @@ def _h_diophantine(doc, tol, seed):
     n = plant.degree() + len(plant.cancelled_roots)
     if n < 1:
         _fail("plant must have at least first-order dynamics", "/plant")
+    if plant.relative_degree() < 0:
+        _fail("improper plant: numerator degree exceeds denominator degree",
+              "/plant")
     targets = []
     for key in ("alpha_c", "alpha_o"):
         alpha = _poly(_require(doc, key, "/"), f"/{key}")

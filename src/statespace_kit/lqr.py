@@ -470,13 +470,13 @@ def symmetric_root_locus_multi(a, numerators, r_values) -> tuple:
 
 
 def _srl_core(a, numerators, r_values):
-    a_even = numkit.poly_mul(a, numkit.poly_reflect(a))
+    a_even = np.convolve(a, numkit.poly_reflect(a))
     b_even = np.array([0.0])
     for b in numerators:
-        b_even = numkit.poly_add(b_even, numkit.poly_mul(b, numkit.poly_reflect(b)))
+        b_even = np.polyadd(b_even, np.convolve(b, numkit.poly_reflect(b)))
     out = []
     for r in np.atleast_1d(np.asarray(r_values, dtype=float)):
-        p = numkit.poly_add(numkit.poly_scale(a_even, r), b_even)
+        p = np.polyadd(a_even * r, b_even)
         roots = numkit.poly_roots(p)
         # each root must match the mirror image -z of a root
         band = 1e-8 * (1.0 + max((abs(z) for z in roots), default=0.0))

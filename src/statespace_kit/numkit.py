@@ -697,28 +697,6 @@ def poly_degree(c) -> int:
     return a.size - 1
 
 
-def poly_mul(a, b) -> np.ndarray:
-    return np.convolve(np.atleast_1d(a), np.atleast_1d(b))
-
-
-def poly_add(a, b) -> np.ndarray:
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    if a.size < b.size:
-        a = np.concatenate([np.zeros(b.size - a.size), a])
-    elif b.size < a.size:
-        b = np.concatenate([np.zeros(a.size - b.size), b])
-    return a + b
-
-
-def poly_scale(a, s) -> np.ndarray:
-    return np.atleast_1d(np.asarray(a)) * s
-
-
-def poly_eval(a, s):
-    return np.polyval(np.atleast_1d(a), s)
-
-
 def poly_from_roots(roots) -> np.ndarray:
     return np.atleast_1d(np.poly(np.asarray(roots))) if len(roots) else np.array([1.0])
 
@@ -731,8 +709,24 @@ def poly_roots(a) -> np.ndarray:
 
 
 def poly_divmod(num, den):
-    q, r = np.polydiv(np.atleast_1d(num).astype(float), np.atleast_1d(den).astype(float))
-    return np.atleast_1d(q), poly_trim(np.atleast_1d(r))
+    """Quotient and remainder of num / den by np.polydiv's long division.
+
+    np.polydiv itself also trims leading remainder coefficients up to 1e-8
+    in size, absolute, which loses a small numerator. Here the m - n + 1
+    leading entries, which the division zeroes, are dropped, and after them
+    only exactly-zero coefficients.
+    """
+    u = np.atleast_1d(num) + 0.0
+    v = np.atleast_1d(den) + 0.0
+    m, n = u.size - 1, v.size - 1
+    scale = 1.0 / v[0]
+    q = np.zeros(max(m - n + 1, 1), (u[0] + v[0]).dtype)
+    r = u.astype(q.dtype)
+    for k in range(m - n + 1):
+        q[k] = scale * r[k]
+        r[k:k + n + 1] -= q[k] * v
+    r = r[max(m - n + 1, 0):]
+    return q, poly_trim(r) if r.size else np.array([0.0])
 
 
 def poly_reflect(a) -> np.ndarray:

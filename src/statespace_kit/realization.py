@@ -68,7 +68,7 @@ class RationalFunction:
         return numkit.poly_roots(self.num)
 
     def __call__(self, s: complex) -> complex:
-        return complex(numkit.poly_eval(self.num, s) / numkit.poly_eval(self.den, s))
+        return complex(np.polyval(self.num, s) / np.polyval(self.den, s))
 
 
 def _cancel_common_roots(num, den, rtol: float = 1e-7):
@@ -148,7 +148,7 @@ def residue_expansion(g: RationalFunction) -> ResidueExpansion:
         raise RepeatedPoles("denominator roots are not simple")
     dden = np.polyder(np.asarray(g.den, dtype=complex))
     residues = np.array(
-        [numkit.poly_eval(rem, p) / numkit.poly_eval(dden, p) for p in poles],
+        [np.polyval(rem, p) / np.polyval(dden, p) for p in poles],
         dtype=complex,
     )
     return ResidueExpansion(poles=poles, residues=residues, direct=quot)
@@ -165,8 +165,6 @@ def _proper_split(g: RationalFunction):
             "numerator degree exceeds denominator degree"
         )
     quot, rem = numkit.poly_divmod(g.num, g.den)
-    if numkit.poly_degree(quot) > 0:
-        raise ImproperTransferFunction("numerator degree exceeds denominator degree")
     d0 = float(np.real(quot[-1])) if numkit.poly_degree(quot) == 0 else 0.0
     a = np.real_if_close(np.asarray(g.den, dtype=complex), tol=1e6).astype(float)
     b = np.real_if_close(np.asarray(rem, dtype=complex), tol=1e6).astype(float)
@@ -200,32 +198,53 @@ def ccf(g: RationalFunction) -> StateSpace:
 
 
 def ocf(g: RationalFunction) -> StateSpace:
-    """Observable companion realization.
+    """Observable companion realization, the exchange dual J ccf' J of ccf.
 
     First column carries the negated denominator coefficients (highest
     order at the top), the output reads the first state.
     """
-    a, b, d0 = _proper_split(g)
-    n = numkit.poly_degree(a)
-    if n == 0:
-        return StateSpace(np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)),
-                          np.array([[d0]]))
+    c = ccf(g)
+    return StateSpace(c.A.T[::-1, ::-1], c.C.T[::-1], c.B.T[:, ::-1], c.D)
+
+
+def _is_real_root(p):
+    return abs(p.imag) <= 1e-7 * (1.0 + abs(p))
+
+
+def _real_then_pairs(items):
+    """Real poles ascending, then upper-half-plane poles by (re, im).
+
+    Each item is a (pole, ...) tuple; lower-half-plane poles are dropped.
+    """
+    items = list(items)
+    reals = sorted((it for it in items if _is_real_root(it[0])),
+                   key=lambda it: it[0].real)
+    pairs = sorted((it for it in items
+                    if not _is_real_root(it[0]) and it[0].imag > 0),
+                   key=lambda it: (it[0].real, it[0].imag))
+    return reals + pairs
+
+
+def _block_diagonal(blocks, D) -> StateSpace:
+    """Real block-diagonal model from (pole, C columns, B rows) blocks.
+
+    A block with one B row is the state [pole.real]; one with two rows is
+    the pair block [[re, im], [-im, re]].
+    """
+    p, m = D.shape
+    n = sum(len(brows) for _, _, brows in blocks)
     A = np.zeros((n, n))
-    A[:, 0] = -a[1:]
-    A[:-1, 1:] = np.eye(n - 1)
-    B = np.zeros((n, 1))
-    bpad = np.zeros(n)
-    bl = numkit.poly_degree(b) + 1
-    if bl > 0:
-        bpad[n - bl:] = b
-    B[:, 0] = bpad
-    C = np.zeros((1, n))
-    C[0, 0] = 1.0
-    return StateSpace(A, B, C, np.array([[d0]]))
-
-
-def _is_real_root(p, rtol=1e-9):
-    return abs(p.imag) <= rtol * (1.0 + abs(p))
+    B = np.zeros((n, m))
+    C = np.zeros((p, n))
+    at = 0
+    for pole, ccols, brows in blocks:
+        w = len(brows)
+        sig, om = pole.real, pole.imag
+        A[at:at + w, at:at + w] = [[sig]] if w == 1 else [[sig, om], [-om, sig]]
+        B[at:at + w, :] = brows
+        C[:, at:at + w] = ccols
+        at += w
+    return StateSpace(A, B, C, D)
 
 
 def modal_form(g: RationalFunction) -> StateSpace:
@@ -237,34 +256,10 @@ def modal_form(g: RationalFunction) -> StateSpace:
     """
     a, b, d0 = _proper_split(g)
     exp = residue_expansion(RationalFunction(b, a))
-    real_items = []
-    pair_items = []
-    for p, k in zip(exp.poles, exp.residues):
-        if _is_real_root(p, rtol=1e-7):
-            real_items.append((p.real, k.real))
-        elif p.imag > 0:
-            pair_items.append((p, k))
-    real_items.sort(key=lambda t: t[0])
-    pair_items.sort(key=lambda t: (t[0].real, t[0].imag))
-    n = len(real_items) + 2 * len(pair_items)
-    A = np.zeros((n, n))
-    B = np.zeros((n, 1))
-    C = np.zeros((1, n))
-    i = 0
-    for p, k in real_items:
-        A[i, i] = p
-        B[i, 0] = k
-        C[0, i] = 1.0
-        i += 1
-    for p, k in pair_items:
-        sig, om = p.real, p.imag
-        A[i:i + 2, i:i + 2] = [[sig, om], [-om, sig]]
-        B[i, 0] = k.real + k.imag
-        B[i + 1, 0] = k.real - k.imag
-        C[0, i] = 1.0
-        C[0, i + 1] = 1.0
-        i += 2
-    return StateSpace(A, B, C, np.array([[d0]]))
+    blocks = [(p, [[1.0]], [[k.real]]) if _is_real_root(p)
+              else (p, [[1.0, 1.0]], [[k.real + k.imag], [k.real - k.imag]])
+              for p, k in _real_then_pairs(zip(exp.poles, exp.residues))]
+    return _block_diagonal(blocks, np.array([[d0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +280,7 @@ def ss_to_tf(sys: StateSpace) -> TransferMatrix:
                 )
             else:
                 coeffs = np.zeros(0)
-            num = numkit.poly_add(coeffs, numkit.poly_scale(a, float(sys.D[i, j])))
+            num = np.polyadd(coeffs, a * float(sys.D[i, j]))
             row.append(RationalFunction(num, a))
         rows.append(tuple(row))
     return TransferMatrix(tuple(rows))
@@ -326,13 +321,6 @@ def mimo_minimal_realization(
         for k in members:
             R[where[k]] += residues[k]
         groups.append((poles[members[0]], R))
-    # deterministic order: real ascending first, then +imag pairs
-    reals = sorted(((p.real, R) for p, R in groups if _is_real_root(p, 1e-7)),
-                   key=lambda item: item[0])
-    pairs = sorted(
-        ((p, R) for p, R in groups if not _is_real_root(p, 1e-7) and p.imag > 0),
-        key=lambda item: (item[0].real, item[0].imag),
-    )
 
     def split(R):
         U, s, Vh = np.linalg.svd(R)
@@ -349,37 +337,17 @@ def mimo_minimal_realization(
         return U[:, :r] * root, (Vh[:r, :].T * root).T
 
     blocks = []
-    Bcols = []
-    Crows = []
-    for pr, R in reals:
-        Ci, Bi = split(R.real)
-        r = Ci.shape[1]
-        for k in range(r):
-            blocks.append(np.array([[pr]]))
-            Bcols.append(Bi[k:k + 1, :])
-            Crows.append(Ci[:, k:k + 1])
-    for pz, R in pairs:
-        Ci, Bi = split(R)
-        r = Ci.shape[1]
-        sig, om = pz.real, pz.imag
-        for k in range(r):
-            c = Ci[:, k]
-            b = Bi[k, :]
-            blocks.append(np.array([[sig, om], [-om, sig]]))
-            Crows.append(np.column_stack([c.real, c.imag]))
-            Bcols.append(np.vstack([2.0 * b.real, -2.0 * b.imag]))
-    n = sum(blk.shape[0] for blk in blocks)
-    A = np.zeros((n, n))
-    B = np.zeros((n, m_in))
-    C = np.zeros((p_out, n))
-    at = 0
-    for blk, brow, ccol in zip(blocks, Bcols, Crows):
-        w = blk.shape[0]
-        A[at:at + w, at:at + w] = blk
-        B[at:at + w, :] = brow
-        C[:, at:at + w] = ccol
-        at += w
-    return StateSpace(A, B, C, direct)
+    for pole, R in _real_then_pairs(groups):
+        if _is_real_root(pole):
+            Ci, Bi = split(R.real)
+            blocks += [(pole, Ci[:, k:k + 1], Bi[k:k + 1, :])
+                       for k in range(Ci.shape[1])]
+        else:
+            Ci, Bi = split(R)
+            blocks += [(pole, np.column_stack([c.real, c.imag]),
+                        np.vstack([2.0 * b.real, -2.0 * b.imag]))
+                       for c, b in zip(Ci.T, Bi)]
+    return _block_diagonal(blocks, direct)
 
 
 def _entry_expansion(e: RationalFunction) -> ResidueExpansion:

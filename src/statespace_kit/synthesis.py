@@ -11,6 +11,7 @@ from .errors import (
     CommonFactor,
     ConjugacyViolation,
     IllConditioned,
+    ImproperTransferFunction,
     ProjectionFailed,
     RankDeficientC,
     SingularSylvester,
@@ -314,6 +315,9 @@ def diophantine_design(plant: RationalFunction, alpha_c, alpha_o) -> Diophantine
         raise CommonFactor(
             "plant numerator and denominator share a root; the identity is unsolvable"
         )
+    if plant.relative_degree() < 0:
+        raise ImproperTransferFunction(
+            "numerator degree exceeds denominator degree")
     a = np.real(np.asarray(plant.den, dtype=complex)).astype(float)
     b = np.real(np.asarray(plant.num, dtype=complex)).astype(float)
     n = numkit.poly_degree(a)
@@ -329,9 +333,9 @@ def diophantine_design(plant: RationalFunction, alpha_c, alpha_o) -> Diophantine
     svals = np.linalg.svd(S, compute_uv=False)
     if svals[-1] <= 1e-10 * svals[0]:
         raise CommonFactor("resultant vanishes: plant polynomials share a factor")
-    target = numkit.poly_mul(alpha_c, alpha_o)
-    rhs = numkit.poly_trim(numkit.poly_add(target, numkit.poly_scale(
-        numkit.poly_mul(a, _monomial(n)), -1.0)), tol=1e-12)
+    target = np.convolve(alpha_c, alpha_o)
+    rhs = numkit.poly_trim(np.polysub(target, np.convolve(a, _monomial(n))),
+                           tol=1e-12)
     rhs_full = np.zeros(2 * n)
     rhs_full[2 * n - rhs.size:] = np.real(rhs)
     try:
@@ -340,8 +344,8 @@ def diophantine_design(plant: RationalFunction, alpha_c, alpha_o) -> Diophantine
         raise SingularSylvester(str(exc)) from exc
     d = np.concatenate([[1.0], theta[:n]])
     n_poly = numkit.poly_trim(theta[n:])
-    recon = numkit.poly_add(numkit.poly_mul(a, d), numkit.poly_mul(b, n_poly))
-    diff = numkit.poly_add(recon, numkit.poly_scale(target, -1.0))
+    recon = np.polyadd(np.convolve(a, d), np.convolve(b, n_poly))
+    diff = np.polysub(recon, target)
     residual = float(np.max(np.abs(diff)) / max(1.0, np.max(np.abs(target))))
     if residual > 1e-8:
         raise SingularSylvester(

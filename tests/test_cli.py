@@ -213,6 +213,25 @@ def test_realize_static_gain_has_no_states(tmp_path, form):
                   "stateDimension": 0}
 
 
+@pytest.mark.parametrize("c", [1e-12, 1e-8, 1e-4, 1.0, 1e4, 1e8, 1e12])
+@pytest.mark.parametrize("form", ["ccf", "ocf", "modal", "minimal"])
+def test_realize_keeps_the_gain_at_every_scale(tmp_path, form, c):
+    from statespace_kit import cli
+
+    # a small numerator is realized as it is, not trimmed to its constant
+    inp = write_json(tmp_path / "in.json",
+                     {"form": form,
+                      "transfer": {"num": [c, 5.0 * c], "den": [1.0, 3.0, 2.0]}})
+    out = tmp_path / "out"
+    assert cli.main(["realize", "--input", inp, "--out", str(out)]) == 0
+    ss = read_report(out)["results"]["realization"]
+    A, B, C, D = (np.array(ss[key]) for key in "ABCD")
+    for s in (0.5j, 10j, 3.0):
+        got = (C @ np.linalg.solve(s * np.eye(len(A)) - A, B) + D)[0, 0]
+        want = c * (s + 5.0) / (s * s + 3.0 * s + 2.0)
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+
 def test_reduced_observer_of_full_state_outputs_is_static(tmp_path):
     from statespace_kit import cli
 
@@ -220,7 +239,7 @@ def test_reduced_observer_of_full_state_outputs_is_static(tmp_path):
     model = {"type": "lti", "A": [[0.0, 1.0], [-2.0, -3.0]],
              "B": [[0.0], [1.0]], "C": [[1.0, 1.0], [0.0, 2.0]]}
     inp = write_json(tmp_path / "in.json",
-                     {"model": model, "observer_poles": [-5.0],
+                     {"model": model, "observer_poles": [],
                       "reduced": True})
     out = tmp_path / "out"
     assert cli.main(["observer", "--input", inp, "--out", str(out)]) == 0
@@ -1130,6 +1149,10 @@ FIELD_CASES = [
                   "reduced": True}, "/observer_poles", None),
     ("observer", {"model": _SS, "observer_poles": [-6.0, -7.0],
                   "state_poles": [-1.0, -2.0, -3.0]}, "/state_poles", None),
+    # outputs that measure every state leave a reduced observer no poles
+    ("observer", {"model": dict(_SS, C=[[1.0, 0.0], [0.0, 1.0]]),
+                  "observer_poles": [7.0, 8.0, 9.0], "reduced": True},
+     "/observer_poles", None),
     # diophantine targets and plants
     ("diophantine", {"plant": _TF, "alpha_c": [1.0, 2.0],
                      "alpha_o": [1.0, 11.0, 30.0]}, "/alpha_c", None),
@@ -1140,6 +1163,9 @@ FIELD_CASES = [
      "/plant", None),
     ("diophantine", {"plant": {"num": [1.0], "den": [2.0]}, "alpha_c": [1.0],
                      "alpha_o": [1.0]}, "/plant", None),
+    ("diophantine", {"plant": {"num": [1.0, 0.0, 0.0], "den": [1.0, 1.0]},
+                     "alpha_c": [1.0, 2.0], "alpha_o": [1.0, 3.0]}, "/plant",
+     None),
     ("srl", {"model": {"type": "lti", "A": [[-1.0]], "B": [[1.0, 1.0]],
                        "C": [[1.0]]}}, "/model", None),
     ("tpbvp", {"kind": "bilinear", "x0": 0.0, "t1": 2.0}, "/x0", None),
@@ -1283,3 +1309,19 @@ def test_cliops_imports_no_library_module_at_load():
              for node in _module_level_imports(tree) if node not in typing_only
              for name in _package_imports(node) if name not in ("cli", "errors")]
     assert eager == [], "module-level library import in _cliops"
+
+
+def test_digest_documents_list_the_same_lines_twice(tmp_path):
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    docs = os.path.join(root, "tools", "digest_docs")
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    argv = [sys.executable, os.path.join(root, "tools", "output_digests.py"),
+            docs, str(tmp_path / "out")]
+    runs = [subprocess.run(argv, env=env, capture_output=True, text=True,
+                           check=True).stdout.splitlines() for _ in range(2)]
+    assert runs[0] == runs[1]
+    names = {os.path.splitext(f)[0] for f in os.listdir(docs)
+             if f.endswith(".json")}
+    assert sorted(line.split()[0] for line in runs[0]) == sorted(names)
+    # every document runs a command and ends in a tool exit code
+    assert all(line.split()[1] in ("0", "1", "2") for line in runs[0])

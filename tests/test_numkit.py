@@ -515,14 +515,38 @@ def test_char_poly_and_adjugate_resolvent_identity():
     s = 1.7
     lhs = np.linalg.inv(s * np.eye(2) - A)
     num = sum(N[k] * s ** (len(N) - 1 - k) for k in range(len(N)))
-    np.testing.assert_allclose(lhs, num / numkit.poly_eval(p, s), atol=1e-10)
+    np.testing.assert_allclose(lhs, num / np.polyval(p, s), atol=1e-10)
+
+
+def test_poly_divmod_matches_polydiv_bits_on_monic_divisors():
+    gen = rng(409)
+    for _ in range(1000):
+        den = np.concatenate([[1.0], gen.normal(size=gen.integers(0, 8))])
+        num = gen.normal(size=gen.integers(1, 12)) * 10.0 ** gen.integers(-6, 7)
+        q, r = numkit.poly_divmod(num, den)
+        q_np, r_np = np.polydiv(num, den)
+        r_np = numkit.poly_trim(r_np)
+        assert q.tobytes() == q_np.tobytes()
+        # np.polydiv also drops true leading remainder coefficients up to 1e-8
+        extra = r.size - r_np.size
+        assert r[extra:].tobytes() == r_np.tobytes()
+        assert np.all((r[:extra] != 0.0) & (np.abs(r[:extra]) <= 1e-8))
+
+
+def test_poly_divmod_keeps_small_remainder_coefficients():
+    # np.polydiv drops the 1e-9 s term as if it were rounding residue
+    q, r = numkit.poly_divmod([1e-9, 5e-9], [1.0, 3.0, 2.0])
+    assert q.tolist() == [0.0]
+    assert r.tolist() == [1e-9, 5e-9]
+    assert np.polydiv([1e-9, 5e-9], [1.0, 3.0, 2.0])[1].tolist() == [5e-9]
+    q, r = numkit.poly_divmod([1.0, 2.0, 1e-9, 5e-9], [1.0, 0.0, 0.0])
+    assert q.tolist() == [1.0, 2.0] and r.tolist() == [1e-9, 5e-9]
+    # a constant divisor leaves the zero remainder
+    q, r = numkit.poly_divmod([4.0, 2.0], [2.0])
+    assert q.tolist() == [2.0, 1.0] and r.tolist() == [0.0]
 
 
 def test_poly_helpers():
-    a = np.array([1.0, 2.0])        # s + 2
-    b = np.array([1.0, -2.0])       # s - 2
-    np.testing.assert_allclose(numkit.poly_mul(a, b), [1.0, 0.0, -4.0])
-    np.testing.assert_allclose(numkit.poly_add(a, b), [2.0, 0.0])
     assert numkit.poly_degree(numkit.poly_trim([0.0, 0.0, 0.0])) < 0 or \
         numkit.poly_trim([0.0, 0.0]).tolist() == [0.0]
     q, r = numkit.poly_divmod([1.0, 3.0, 2.0], [1.0, 1.0])

@@ -11,6 +11,7 @@ from statespace_kit import cli, numkit
 from statespace_kit.errors import (
     CommonFactor,
     ConjugacyViolation,
+    ImproperTransferFunction,
     RankDeficientC,
     SubpairUnobservable,
     Uncontrollable,
@@ -305,8 +306,8 @@ def test_diophantine_golden():
 def test_diophantine_closed_loop_roots():
     plant = rational([1.0], [1.0, 0.0, -1.0])
     prob = diophantine_design(plant, [1.0, 2.0, 2.0], [1.0, 11.0, 30.0])
-    closed = numkit.poly_add(numkit.poly_mul(prob.a, prob.d),
-                             numkit.poly_mul(prob.b, prob.n_poly))
+    closed = np.polyadd(np.convolve(prob.a, prob.d),
+                        np.convolve(prob.b, prob.n_poly))
     got = sorted_complex(np.roots(closed))
     want = sorted_complex(np.concatenate([
         np.roots([1.0, 2.0, 2.0]), np.roots([1.0, 11.0, 30.0])]))
@@ -323,6 +324,18 @@ def test_diophantine_remultiplication_residual():
         ao = np.real(numkit.poly_from_roots(-gen.uniform(6.0, 9.0, size=3)))
         prob = diophantine_design(plant, ac, ao)
         assert prob.residual <= 1e-10
+
+
+def test_diophantine_refuses_improper_and_solves_biproper_plants():
+    with pytest.raises(ImproperTransferFunction):
+        diophantine_design(rational([1.0, 0.0, 0.0], [1.0, 1.0]),
+                           [1.0, 2.0], [1.0, 3.0])
+    # (s + 1)(s + 8) + (2s + 1)(-2) = (s + 2)(s + 3)
+    prob = diophantine_design(rational([2.0, 1.0], [1.0, 1.0]),
+                              [1.0, 2.0], [1.0, 3.0])
+    np.testing.assert_array_equal(prob.d, [1.0, 8.0])
+    np.testing.assert_array_equal(prob.n_poly, [-2.0])
+    assert prob.residual == 0.0
 
 
 def test_diophantine_common_factor_rejected():
