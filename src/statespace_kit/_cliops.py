@@ -3,7 +3,8 @@
 This module owns every numpy-touching piece of the batch tool: input
 schema validation with JSON-pointer locations, model construction, and
 one handler per subcommand. Handlers return (results, files, warnings)
-where files maps output names to ready-to-write text. The front end in
+where files maps output names to their text as an iterator of blocks,
+which the front end writes one block at a time. The front end in
 cli.py stays import-light so thread caps land before the numeric stack
 loads.
 
@@ -16,7 +17,7 @@ modules.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional
 
 import numpy as np
 
@@ -36,6 +37,11 @@ if TYPE_CHECKING:
     from .response import Trajectory
 
 _NUMBER = (int, float)
+
+# values per CSV text block, about 100 kB of "%.17g" text: large enough that
+# the per-block numpy calls cost nothing, small enough that a run's memory
+# follows its arrays and not its output text
+CSV_BLOCK_VALUES = 4096
 
 # Work limits on document fields, by field name; a larger value raises
 # WorkBudgetExceeded before the work starts. The per-unit costs they are
@@ -86,6 +92,14 @@ def _number(value, loc: str) -> float:
     return number
 
 
+def _finite_floats(row: list) -> bool:
+    """True when every element is a finite float, which _number would return
+    as it is; any other row goes through _number element by element, which
+    builds the JSON pointer of the element it refuses."""
+    # a sum of floats is finite only if every term is
+    return all(type(v) is float for v in row) and math.isfinite(sum(row))
+
+
 def _optional_number(doc: dict, key: str, loc: str, default=None):
     if key not in doc or doc[key] is None:
         return default
@@ -128,9 +142,8 @@ def _count(doc: dict, key: str, default, minimum: int, loc: str = ""):
 def _vector(value, loc: str, length: Optional[int] = None) -> np.ndarray:
     if not isinstance(value, list) or not value:
         _fail("non-empty array of numbers expected", loc)
-    out = []
-    for i, v in enumerate(value):
-        out.append(_number(v, f"{loc}/{i}"))
+    out = value if _finite_floats(value) else [
+        _number(v, f"{loc}/{i}") for i, v in enumerate(value)]
     if length is not None and len(out) != length:
         _fail(f"expected length {length}, got {len(out)}", loc)
     return np.array(out)
@@ -149,7 +162,9 @@ def _matrix(value, loc: str, rows: Optional[int] = None,
             width = len(row)
         elif len(row) != width:
             _fail("ragged matrix", f"{loc}/{i}")
-        grid.append([_number(v, f"{loc}/{i}/{j}") for j, v in enumerate(row)])
+        if not _finite_floats(row):
+            row = [_number(v, f"{loc}/{i}/{j}") for j, v in enumerate(row)]
+        grid.append(row)
     M = np.array(grid)
     if rows is not None and M.shape[0] != rows:
         _fail(f"expected {rows} rows, got {M.shape[0]}", loc)
@@ -304,29 +319,40 @@ def _ss_out(sys: StateSpace) -> dict:
     }
 
 
-def _csv(header: List[str], rows) -> str:
+def _csv(header: List[str], blocks: Iterable) -> Iterator[str]:
+    """CSV text as the header line, then one text block per block of rows."""
     # 17 significant digits round-trip every double; "%.17g" converts each
     # value with float() as an f-string would, one format call per row
-    template = ",".join(["%.17g"] * len(header))
-    lines = [",".join(header)]
-    lines.extend(template % tuple(row) for row in rows)
-    return "\n".join(lines) + "\n"
+    line = ",".join(["%.17g"] * len(header)) + "\n"
+    yield ",".join(header) + "\n"
+    for rows in blocks:
+        yield "".join([line % tuple(row) for row in rows])
 
 
-def _columns_csv(**blocks) -> str:
+def _columns_csv(**blocks) -> Iterator[str]:
     """CSV of equally long blocks in argument order: a 1-D block is one
     column under its name, a wider one a column per trailing index,
-    numbered from 1 (x1, x2; p11, p12)."""
+    numbered from 1 (x1, x2; p11, p12).
+
+    The text comes as blocks of about CSV_BLOCK_VALUES values, each stacked
+    and formatted only when it is read, so no whole-table copy or text is
+    held. Every shape and dtype check runs here, in the caller."""
     header, columns = [], []
     for name, block in blocks.items():
         block = np.asarray(block, dtype=float)
         header.extend(name + "".join(str(i + 1) for i in index)
                       for index in np.ndindex(block.shape[1:]))
         columns.append(block.reshape(len(block), math.prod(block.shape[1:])))
-    return _csv(header, np.hstack(columns).tolist())
+    length = len(columns[0])
+    if any(len(column) != length for column in columns):
+        raise ValueError("CSV blocks of unequal length: "
+                         f"{[len(column) for column in columns]}")
+    step = max(1, CSV_BLOCK_VALUES // len(header))
+    return _csv(header, (np.hstack([c[i:i + step] for c in columns]).tolist()
+                         for i in range(0, length, step)))
 
 
-def _trajectory_csv(traj: Trajectory) -> str:
+def _trajectory_csv(traj: Trajectory) -> Iterator[str]:
     return _columns_csv(t=traj.times, x=traj.states, u=traj.inputs,
                         y=traj.outputs)
 
@@ -715,7 +741,7 @@ def _h_lqr(doc, tol, seed):
     from . import lqr
 
     prob = _lqr_problem(doc)
-    files: Dict[str, str] = {}
+    files: Dict[str, Iterator[str]] = {}
     if prob.infinite:
         sol = lqr.solve_are(prob)
         results = {

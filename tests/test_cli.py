@@ -514,6 +514,67 @@ def test_a_failed_write_leaves_no_temporary_file(tmp_path, monkeypatch):
     assert os.listdir(out) == ["trajectory.csv"]
 
 
+def test_a_write_failing_between_blocks_leaves_the_last_run_whole(tmp_path,
+                                                                   monkeypatch):
+    from statespace_kit import cli
+
+    out = tmp_path / "out"
+    doc = {"model": _SS, "x0": [1.0, 0.0], "t1": 1.0, "samples": 5}
+    argv = ["simulate", "--input", write_json(tmp_path / "in.json", doc),
+            "--out", str(out)]
+    assert cli.main(argv) == 0
+    before = {name: (out / name).read_bytes() for name in os.listdir(out)}
+
+    real_open = open
+    blocks = []
+
+    def failing_open(path, mode="r", **kwargs):
+        fh = real_open(path, mode, **kwargs)
+        if "w" in mode:
+            real_write = fh.write
+
+            def write(text):
+                if blocks:  # the header went through; the rows do not
+                    raise OSError("disk full")
+                blocks.append(text)
+                return real_write(text)
+
+            fh.write = write
+        return fh
+
+    monkeypatch.setattr(cli, "open", failing_open, raising=False)
+    write_json(tmp_path / "in.json", dict(doc, samples=5000))
+    with pytest.raises(OSError, match="disk full"):
+        cli.main(argv)
+    assert blocks == ["t,x1,x2,u1,y1\n"]
+    assert {name: (out / name).read_bytes() for name in os.listdir(out)} == before
+
+
+def test_csv_writes_hold_one_block_of_text_at_a_time(tmp_path):
+    import tracemalloc
+
+    from statespace_kit import cli
+    from statespace_kit._cliops import _columns_csv
+
+    def columns(rows):
+        ts = np.linspace(0.0, 1.0, rows)
+        return {"t": ts, "x": np.stack([np.sin(ts), np.cos(ts)], axis=1)}
+
+    block_text = max(len(b) for b in _columns_csv(**columns(80_000)))
+    peaks = []
+    for rows in (20_000, 80_000):
+        data = columns(rows)
+        tracemalloc.start()
+        try:
+            cli._write_outputs(str(tmp_path / str(rows)), {"rows": rows},
+                               {"trajectory.csv": _columns_csv(**data)})
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / str(rows) / "trajectory.csv").stat().st_size > 40 * rows
+    assert abs(peaks[1] - peaks[0]) < block_text
+
+
 def test_stability_reports_lyapunov_beyond_thirty_states(tmp_path):
     n = 40
     A = np.random.default_rng(43).normal(size=(n, n)) / np.sqrt(n) \

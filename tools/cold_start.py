@@ -1,4 +1,4 @@
-"""Cold-start wall time of every CLI command, for two source trees.
+"""Cold-start wall time and peak memory of each CLI command, for two trees.
 
     python3 tools/cold_start.py PARENT_TREE CHANGE_TREE [-k 7] [--out FILE]
 
@@ -6,19 +6,21 @@ Each of the 15 commands gets one small inline document. A timed run is one
 fresh interpreter with PYTHONPATH=<tree>/src that calls
 ``statespace_kit.cli.main`` on that document and prints its exit code,
 whether the ``scipy`` package got loaded (scipy's LAPACK extension alone,
-loaded by file, does not count) and which ``statespace_kit.*`` modules
-did; its wall time, spawn to exit, is what a user of the batch tool waits
-for. After one untimed run per command and tree (which also compiles
-bytecode), each command runs k times per tree, the two trees alternating
-and swapping which goes first every round.
+loaded by file, does not count), which ``statespace_kit.*`` modules did,
+and its own peak resident set (VmHWM of /proc/self/status, which unlike
+ru_maxrss does not inherit the parent's); its wall time, spawn to exit, is
+what a user of the batch tool waits for. After one untimed run per command
+and tree (which also compiles bytecode), each command runs k times per
+tree, the two trees alternating and swapping which goes first every round.
 
 The JSON written to FILE (default BENCH_cold_start.json) holds, per command
-and tree, the median and quartiles of the wall time, the exit codes and the
-scipy-loaded flags seen, and the sorted package modules loaded with their
-count (a deterministic figure beside the wall time; a run that loads a
-different set stops the tool), plus the host, the Python, numpy and scipy
-versions, STATESPACE_KIT_THREADS (1 unless set) and k. A markdown table of
-the medians and module counts goes to stdout. Standard library only.
+and tree, the median and quartiles of the wall time and of the peak
+resident set in MB, the exit codes and the scipy-loaded flags seen, and the
+sorted package modules loaded with their count (a deterministic figure
+beside the wall time; a run that loads a different set stops the tool),
+plus the host, the Python, numpy and scipy versions, STATESPACE_KIT_THREADS
+(1 unless set) and k. A markdown table of the medians (wall time and peak
+MB) and module counts goes to stdout. Standard library only.
 """
 
 import argparse
@@ -67,8 +69,10 @@ _CHILD = (
     "import json, sys\n"
     "from statespace_kit import cli\n"
     "rc = cli.main(sys.argv[1:])\n"
+    "hwm = [l for l in open('/proc/self/status') if l.startswith('VmHWM:')]\n"
     "print(json.dumps([rc, 'scipy' in sys.modules,"
-    " sorted(m for m in sys.modules if m.startswith('statespace_kit.'))]))\n"
+    " sorted(m for m in sys.modules if m.startswith('statespace_kit.')),"
+    " int(hwm[0].split()[1])]))\n"
 )
 
 
@@ -81,13 +85,17 @@ def run_once(tree, command, inp, out, env):
     wall = time.perf_counter() - t0
     if proc.returncode != 0:
         sys.exit(f"{command} in {tree} failed:\n{proc.stderr[-2000:]}")
-    rc, scipy, modules = json.loads(proc.stdout.splitlines()[-1])
-    return wall, rc, scipy, tuple(modules)
+    rc, scipy, modules, peak_kb = json.loads(proc.stdout.splitlines()[-1])
+    return wall, rc, scipy, tuple(modules), peak_kb / 1024
+
+
+def quartiles(values):
+    return statistics.quantiles(sorted(values), n=4, method="inclusive")
 
 
 def summary(samples):
-    walls = sorted(s[0] for s in samples)
-    q1, median, q3 = statistics.quantiles(walls, n=4, method="inclusive")
+    q1, median, q3 = quartiles(s[0] for s in samples)
+    peak_q1, peak_median, peak_q3 = quartiles(s[4] for s in samples)
     module_sets = {s[3] for s in samples}
     if len(module_sets) != 1:
         sys.exit(f"runs loaded different module sets: {sorted(module_sets)}")
@@ -96,6 +104,9 @@ def summary(samples):
         "median_s": round(median, 4),
         "q1_s": round(q1, 4),
         "q3_s": round(q3, 4),
+        "peak_median_mb": round(peak_median, 2),
+        "peak_q1_mb": round(peak_q1, 2),
+        "peak_q3_mb": round(peak_q3, 2),
         "exit_codes": sorted({s[1] for s in samples}),
         "scipy_loaded": sorted({s[2] for s in samples}),
         "modules": list(modules),
@@ -141,14 +152,16 @@ def main(argv=None):
         "settings": {"STATESPACE_KIT_THREADS": threads, "k": args.k},
         "commands": {},
     }
-    print("| command | parent (s) | change (s) | modules (parent / change) "
-          "| scipy loaded (parent / change) |")
-    print("| --- | --- | --- | --- | --- |")
+    print("| command | parent (s) | change (s) | peak MB (parent / change) "
+          "| modules (parent / change) | scipy loaded (parent / change) |")
+    print("| --- | --- | --- | --- | --- | --- |")
     for command, by_side in samples.items():
         row = {side: summary(s) for side, s in by_side.items()}
         report["commands"][command] = row
         print(f"| `{command}` | {row['parent']['median_s']:.3f} | "
               f"{row['change']['median_s']:.3f} | "
+              f"{row['parent']['peak_median_mb']:.1f} / "
+              f"{row['change']['peak_median_mb']:.1f} | "
               f"{row['parent']['module_count']} / {row['change']['module_count']} | "
               f"{row['parent']['scipy_loaded']} / {row['change']['scipy_loaded']} |")
     with open(args.out, "w") as fh:
