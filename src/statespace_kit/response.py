@@ -150,6 +150,7 @@ class _HermiteTable:
                 + h01 * self.Us[i + 1] + h11 * h * self.dUs[i + 1])
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def fundamental_matrix_ltv(
     model: LtvModel, t0: float, t1: float, max_step: float = None
 ) -> StateTransition:
@@ -291,9 +292,9 @@ def simulate(model, x0, times, u=None, max_step: float = None) -> Trajectory:
                     return list(zip(As, Bs @ held))
                 return None
 
-        states = _march_samples(lambda x, c: c[0].dot(x) + c[1], coeff, x0, times,
-                                max_step, model.piecewise_continuity_breaks,
-                                block)
+        states = march_samples(lambda x, c: c[0].dot(x) + c[1], coeff, x0, times,
+                               max_step, model.piecewise_continuity_breaks,
+                               block)
     elif isinstance(model, NonlinearModel):
         if getattr(model.f, "takes_lists", False):
             # march on Python floats (numkit.rk4_march)
@@ -318,7 +319,7 @@ def simulate(model, x0, times, u=None, max_step: float = None) -> Trajectory:
                 return np.asarray(r, dtype=float).reshape(shape)
 
         output = model.h
-        states = _march_samples(rate, coeff, x0, times, max_step, ())
+        states = march_samples(rate, coeff, x0, times, max_step, ())
     else:
         raise TypeError(f"cannot simulate {type(model).__name__}")
     kept = states.shape[0]
@@ -406,8 +407,9 @@ def _simulate_lti(sys: StateSpace, x0, times, u, max_step):
     return lti_trajectory(sys, times, np.array(states), inputs)
 
 
-def _march_samples(rate, coeff, x, times, max_step, breaks,
-                   block=None) -> np.ndarray:
+@np.errstate(over="ignore", invalid="ignore")
+def march_samples(rate, coeff, x, times, max_step, breaks,
+                  block=None) -> np.ndarray:
     """States at the samples by fourth-order steps on each piece between
     samples and breaks; fewer rows than times when the state left the
     finite range.

@@ -229,10 +229,10 @@ def quadratic_lyapunov_scan(
     transformed remaining coordinates). Certification requires the decay
     rate 2 x'P f(x) to clear -margin * |x|^2 at every sample.
     """
-    # deferred: importing scipy is most of a cold CLI start, and no
-    # command calls this
-    from scipy.special import erfinv
+    # deferred: no command calls this
+    from statistics import NormalDist
 
+    inv_cdf = NormalDist().inv_cdf
     P = numkit.require_square(P)
     n = P.shape[0]
     if numkit.is_positive_definite(P).verdict != "PD":
@@ -247,10 +247,8 @@ def quadratic_lyapunov_scan(
     for k in range(1, samples + 1):
         u = numkit.radical_inverse(k, _PRIMES[0])
         radius = u ** (1.0 / n)
-        g = np.array(
-            [erfinv(2.0 * numkit.radical_inverse(k, _PRIMES[1 + d]) - 1.0)
-             * np.sqrt(2.0) for d in range(n)]
-        )
+        g = np.array([inv_cdf(numkit.radical_inverse(k, _PRIMES[1 + d]))
+                      for d in range(n)])
         norm = np.linalg.norm(g)
         if norm == 0.0:
             continue

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -12,6 +13,7 @@ from .errors import (
     IllConditioned,
     NonSquarePlant,
     RepeatedEigenvalues,
+    SingularFundamental,
     SingularGrammian,
 )
 from .model import LtvModel, StateSpace
@@ -166,123 +168,94 @@ def _grammian_report(W, kind, horizon):
                           conditioning=cond, min_eig=mn, max_eig=mx)
 
 
-def _simpson_outer(make_factor, t0, tf, steps):
-    """Simpson quadrature of F(t) = G(t) G(t)' with compensated accumulation."""
-    h = (tf - t0) / steps
-    acc = None
-    comp = None
-    for j in range(steps):
-        a = t0 + j * h
-        Fa = make_factor(a)
-        Fm = make_factor(a + h / 2.0)
-        Fb = make_factor(a + h)
-        panel = (h / 6.0) * (Fa @ Fa.T + 4.0 * (Fm @ Fm.T) + Fb @ Fb.T)
-        if acc is None:
-            acc = panel
-            comp = np.zeros_like(panel)
-        else:
-            y = panel - comp
-            t = acc + y
-            comp = (t - acc) - y
-            acc = t
-    return acc
-
-
 def controllability_grammian(model, t0: float, tf: float) -> GrammianReport:
     """Energy grammian of the input-to-state map on [t0, tf].
 
     Constant coefficients are exact: the integral of e^{-A s} B B' e^{-A' s}
     over [0, tf - t0] by numkit.expm_gramian. tf = inf solves the Lyapunov
     equation (stability.solve_lyapunov) and requires every mode strictly
-    stable.
-    Time-varying models use Simpson quadrature on 400 panels, on a finite
-    horizon only: their transition is marched on a grid over [t0, tf].
+    stable. A time-varying model needs a finite horizon (_ltv_grammian).
     """
-    if isinstance(model, StateSpace):
-        A, B = model.A, model.B
-        if np.isinf(tf):
-            from .stability import ASYMPTOTICALLY_STABLE, lti_stability, solve_lyapunov
-
-            if lti_stability(A).kind != ASYMPTOTICALLY_STABLE:
-                raise ValueError("infinite-horizon grammian needs a strictly stable A")
-            W = solve_lyapunov(A.T, B @ B.T)
-            return _grammian_report(W, "controllability", (float(t0), np.inf))
-        span = float(tf) - float(t0)
-        if span <= 0:
-            raise ValueError("need tf > t0")
-        W = numkit.expm_gramian(-A, B @ B.T, span)
-        return _grammian_report(W, "controllability", (float(t0), float(tf)))
-    if isinstance(model, LtvModel):
-        return _ltv_controllability(model, t0, tf, _ltv_transition(model, t0, tf))
-    raise TypeError("expected a constant or time-varying linear model")
-
-
-def _ltv_transition(model: LtvModel, t0, tf):
-    """The transition of a time-varying model, marched on [t0, tf]."""
-    from .response import fundamental_matrix_ltv
-
-    if np.isinf(tf):
-        raise ValueError("an infinite-horizon grammian needs a constant-"
-                         "coefficient model: a time-varying transition is "
-                         "marched on a finite grid")
-    if float(tf) <= float(t0):
-        raise ValueError("need tf > t0")
-    return fundamental_matrix_ltv(model, t0, tf)
-
-
-def _ltv_controllability(model: LtvModel, t0, tf, phi) -> GrammianReport:
-    def factor(t):
-        return phi(t0, t) @ numkit.as_matrix(model.B(t))
-
-    W = _simpson_outer(factor, t0, tf, 400)
-    return _grammian_report(W, "controllability", (float(t0), float(tf)))
-
-
-def _ltv_observability(model: LtvModel, t0, t1, phi) -> GrammianReport:
-    def factor(t):
-        return phi(t, t0).T @ numkit.as_matrix(model.C(t)).T
-
-    H = _simpson_outer(factor, t0, t1, 400)
-    return _grammian_report(H, "observability", (float(t0), float(t1)))
+    return _grammian(model, t0, tf, "controllability")
 
 
 def observability_grammian(model, t0: float, t1: float) -> GrammianReport:
-    """Output-energy grammian on [t0, t1]; mirrors the controllability path.
-
-    The constant-coefficient integrand is e^{A' s} C'C e^{A s}.
+    """Output-energy grammian on [t0, t1]: the controllability grammian of
+    the dual data (-A', C'), so the constant-coefficient integrand is
+    e^{A' s} C'C e^{A s}.
     """
-    if isinstance(model, StateSpace):
-        A, C = model.A, model.C
-        if np.isinf(t1):
-            from .stability import ASYMPTOTICALLY_STABLE, lti_stability, solve_lyapunov
+    return _grammian(model, t0, t1, "observability")
 
-            if lti_stability(A).kind != ASYMPTOTICALLY_STABLE:
-                raise ValueError("infinite-horizon grammian needs a strictly stable A")
-            H = solve_lyapunov(A, C.T @ C)
-            return _grammian_report(H, "observability", (float(t0), np.inf))
-        span = float(t1) - float(t0)
-        if span <= 0:
-            raise ValueError("need t1 > t0")
-        H = numkit.expm_gramian(A.T, C.T @ C, span)
-        return _grammian_report(H, "observability", (float(t0), float(t1)))
+
+def _grammian(model, t0, tf, kind):
+    dual = kind == "observability"
     if isinstance(model, LtvModel):
-        return _ltv_observability(model, t0, t1, _ltv_transition(model, t0, t1))
-    raise TypeError("expected a constant or time-varying linear model")
+        return _ltv_grammian(model.A, model.C if dual else model.B, t0, tf,
+                             model.piecewise_continuity_breaks, kind)[1]
+    if not isinstance(model, StateSpace):
+        raise TypeError("expected a constant or time-varying linear model")
+    A, G = model.A, (model.C.T if dual else model.B)
+    if np.isinf(tf):
+        from .stability import ASYMPTOTICALLY_STABLE, lti_stability, solve_lyapunov
+
+        if lti_stability(A).kind != ASYMPTOTICALLY_STABLE:
+            raise ValueError("infinite-horizon grammian needs a strictly stable A")
+        W = solve_lyapunov(A if dual else A.T, G @ G.T)
+    elif float(tf) <= float(t0):
+        raise ValueError("need tf > t0")
+    else:
+        W = numkit.expm_gramian(A.T if dual else -A, G @ G.T, float(tf) - float(t0))
+    return _grammian_report(W, kind, (float(t0), float(tf)))
+
+
+def _ltv_grammian(A, G, t0, tf, breaks, kind):
+    """(X(tf), GrammianReport of W(tf)) from one march (response.march_samples)
+    of X' = -X F, W' = (X H)(X H)' from [X; W] = [I; 0] at t0, in steps of at
+    most (tf - t0) / 800 split at the breaks. (F, H) = (A, G) for kind
+    "controllability" gives X = phi(t0, t); the dual data (-A', G') for
+    "observability" give X = phi(t, t0)'. A march that leaves the finite
+    range raises SingularFundamental."""
+    from .response import march_samples
+
+    t0, tf = float(t0), float(tf)
+    if not t0 < tf < np.inf:
+        raise ValueError("need a finite tf > t0: an infinite-horizon grammian "
+                         "needs a constant-coefficient model")
+    dual = kind == "observability"
+    n = numkit.as_matrix(A(t0)).shape[0]
+
+    def rate(z, c):
+        F, H = (-c[0].T, c[1].T) if dual else c
+        X = z[:n * n].reshape(n, n)
+        XH = X.dot(H)
+        return np.concatenate([-X.dot(F).ravel(), XH.dot(XH.T).ravel()])
+
+    def block(ts):
+        Fs, Hs = A(ts), G(ts)
+        finite = np.isfinite(Fs).all() and np.isfinite(Hs).all()
+        return list(zip(Fs, Hs)) if finite else None
+
+    z = march_samples(rate, lambda t: (numkit.as_matrix(A(t)), numkit.as_matrix(G(t))),
+                      np.eye(2 * n, n).ravel(), np.array([t0, tf]), (tf - t0) / 800.0,
+                      breaks, block if _vectorized(A, G) else None)
+    if len(z) < 2:
+        raise SingularFundamental("the transition march left the finite range")
+    X, W = z[1].reshape(2, n, n)
+    return X, _grammian_report(W, kind, (t0, tf))
+
+
+def _vectorized(*fs) -> bool:
+    """Whether every callable takes an array of times (sample_interpolant)."""
+    return all(getattr(f, "vectorized", False) for f in fs)
 
 
 def grammians(model, t0: float, tf: float) -> tuple:
     """The controllability grammian on [t0, tf] and, when the model has an
-    output, the observability grammian. A time-varying model marches its
-    transition once for both."""
-    if not isinstance(model, LtvModel):
-        reports = (controllability_grammian(model, t0, tf),)
-        if model.p:
-            reports += (observability_grammian(model, t0, tf),)
-        return reports
-    phi = _ltv_transition(model, t0, tf)
-    reports = (_ltv_controllability(model, t0, tf, phi),)
+    output, the observability grammian: one march each for a time-varying
+    model."""
+    reports = (controllability_grammian(model, t0, tf),)
     if model.p:
-        reports += (_ltv_observability(model, t0, tf, phi),)
+        reports += (observability_grammian(model, t0, tf),)
     return reports
 
 
@@ -511,46 +484,73 @@ def minimum_energy_steer(model, x0, xf, t0: float, tf: float,
     """Open-loop control reaching xf at tf with least input energy.
 
     The control is u(t) = -B(t)' phi(t0, t)' eta, eta = W^{-1} (x0 -
-    phi(t0, tf) xf). For constant coefficients the trajectory is exact: x and
-    the costate lambda = e^{A' (t0 - t)} eta follow the flow of
-    [[A, -B B'], [0, -A']] from [x0; eta], and u = -B' lambda. Time-varying
-    models simulate the constructed control, with the transition that W was
-    built from. Returns (u, trajectory); the GrammianReport of W rides on
-    the control as u.grammian.
+    phi(t0, tf) xf): x and the costate lambda = phi(t0, t)' eta follow the
+    flow of [[A, -B B'], [0, -A']] from [x0; eta], and u = -B' lambda. The
+    flow is exact for constant coefficients. A time-varying model marches
+    W and phi(t0, tf) (_ltv_grammian), then the flow (simulate), so the
+    final state checks that march; its u(t) marches the transition on the
+    first call. Returns (u, trajectory), with the GrammianReport of W as
+    u.grammian.
     """
-    from .response import lti_trajectory, simulate
+    from .response import (Trajectory, fundamental_matrix_ltv, lti_trajectory,
+                           simulate, stm_series)
 
     x0 = numkit.as_vector(x0).astype(float)
     xf = numkit.as_vector(xf).astype(float)
     if isinstance(model, LtvModel):
-        fm = _ltv_transition(model, t0, tf)
-        rep = _ltv_controllability(model, t0, tf, fm)
+        Xf, rep = _ltv_grammian(model.A, model.B, t0, tf,
+                                model.piecewise_continuity_breaks, "controllability")
+        phi, B_of = cache(lambda: fundamental_matrix_ltv(model, t0, tf)), model.B
     else:
         rep = controllability_grammian(model, t0, tf)
+        phi, B_of = cache(lambda: stm_series(model.A)), (lambda t: model.B)
     W = rep.matrix
     if rep.min_eig <= 1e-9 * max(rep.max_eig, 1e-300):
-        raise SingularGrammian(
-            "grammian is numerically singular on this horizon"
-        )
+        raise SingularGrammian("grammian is numerically singular on this horizon")
+    if isinstance(model, StateSpace):
+        Xf = numkit.expm(model.A, t0 - tf)
+    eta = np.linalg.solve(W, x0 - Xf @ xf)
+
+    def u(t, _eta=eta):
+        return -(numkit.as_matrix(B_of(t)).T @ phi()(t0, t).T @ _eta)
+
+    u.grammian = rep
     times = np.linspace(t0, tf, samples)
     if isinstance(model, StateSpace):
         A, B, n = model.A, model.B, model.n
-        eta = np.linalg.solve(W, x0 - numkit.expm(A, t0 - tf) @ xf)
-
-        def u(t, _eta=eta):
-            return -(B.T @ numkit.expm(A, t0 - t).T @ _eta)
-
-        u.grammian = rep
         flow = np.block([[A, -B @ B.T], [np.zeros((n, n)), -A.T]])
         z = numkit.expm_flow(flow, np.concatenate([x0, eta]), times)
         return u, lti_trajectory(model, times, z[:, :n], -(z[:, n:] @ B))
-    eta = np.linalg.solve(W, x0 - fm(t0, tf) @ xf)
+    z = simulate(_costate_flow(model), np.concatenate([x0, eta]), times)
+    if z.truncated:
+        raise SingularFundamental("the state-costate march left the finite range")
+    m = model.m
+    return u, Trajectory(times, z.states[:, :model.n], z.outputs[:, :m],
+                         z.outputs[:, m:])
 
-    def u(t, _eta=eta):
-        return -(numkit.as_matrix(model.B(t)).T @ fm(t0, t).T @ _eta)
 
-    u.grammian = rep
-    return u, simulate(model, x0, times, u=u)
+def _costate_flow(model: LtvModel) -> LtvModel:
+    """The unforced model z' = [[A, -B B'], [0, -A']] z of z = [x; lambda], with
+    outputs [u; y] = [[0, -B'], [C, -D B']] z, vectorized where the model is."""
+    n, m, p = model.n, model.m, model.p
+
+    def A(t):
+        a, b = numkit.as_matrix(model.A(t)), numkit.as_matrix(model.B(t))
+        bt = -b.swapaxes(-1, -2)
+        return np.block([[a, b @ bt], [np.zeros_like(a), -a.swapaxes(-1, -2)]])
+
+    def C(t):
+        b, c, d = (numkit.as_matrix(f(t)) for f in (model.B, model.C, model.D))
+        bt = -b.swapaxes(-1, -2)
+        return np.block([[np.zeros(b.shape[:-2] + (m, n)), bt], [c, d @ bt]])
+
+    A.vectorized = _vectorized(model.A, model.B)
+    C.vectorized = _vectorized(model.B, model.C, model.D)
+    flow = LtvModel(A, lambda t: np.zeros(np.shape(t) + (2 * n, 0)), C,
+                    lambda t: np.zeros(np.shape(t) + (m + p, 0)), 2 * n, 0, m + p,
+                    model.piecewise_continuity_breaks)
+    flow.B.vectorized = flow.D.vectorized = True  # no input: empty stacks
+    return flow
 
 
 # ---------------------------------------------------------------------------

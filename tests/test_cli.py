@@ -306,6 +306,37 @@ def test_simulate_nonlinear_blow_up_is_truncated(tmp_path, capsys, model, x0,
     assert len(rows) == 1 + results["samples"]
 
 
+# a time-varying model driven out of the finite range: simulate stops early,
+# and the grammian and steering marches refuse (command, document, exit code)
+_LTV_OVERFLOW = {"type": "ltv-samples", "times": [0.0, 10.0],
+                 "A": [[[400.0, 0.0], [0.0, 1.0]]] * 2,
+                 "B": [[[1.0], [1.0]]] * 2, "C": [[[1.0, 0.0]]] * 2}
+LTV_BLOW_UPS = [
+    ("simulate", {"model": _LTV_OVERFLOW, "x0": [1.0, 0.0], "t0": 0.0,
+                  "t1": 10.0, "samples": 101}, 0),
+    ("structural", {"model": _LTV_OVERFLOW, "horizon": [0.0, 10.0]}, 1),
+    ("steer", {"model": _LTV_OVERFLOW, "x0": [1.0, -1.0], "xf": [0.0, 0.0],
+               "t0": 0.0, "tf": 10.0}, 1),
+]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command,doc,code", LTV_BLOW_UPS,
+                         ids=[case[0] for case in LTV_BLOW_UPS])
+def test_ltv_blow_up_prints_no_warning(tmp_path, capsys, command, doc, code):
+    from statespace_kit import cli
+
+    inp = write_json(tmp_path / "in.json", doc)
+    out = tmp_path / "out"
+    assert cli.main([command, "--input", inp, "--out", str(out)]) == code
+    assert capsys.readouterr().err == ""
+    report = read_report(out)
+    if code:
+        assert report["error"]["type"] == "SingularFundamental"
+    else:
+        assert report["results"]["truncated"] is True
+
+
 def test_realize_and_place_round_trip(tmp_path):
     inp = write_json(tmp_path / "r.json",
                      {"transfer": {"num": [1.0], "den": [1.0, 3.0, 2.0]},
@@ -432,43 +463,51 @@ def test_steer_builds_the_grammian_once(tmp_path, monkeypatch):
                                  rel=1e-9)
 
 
-def test_ltv_steer_builds_the_fundamental_matrix_once(tmp_path, monkeypatch):
-    # in process; the grammian's transition also gives the control
-    from statespace_kit import cli, response
+def _count_marches(monkeypatch):
+    """Record (state size, samples) of each march through the march driver,
+    and make any use of the interpolated transition table fail."""
+    from statespace_kit import response
 
-    calls = []
-    real = response.fundamental_matrix_ltv
+    marches = []
+    real = response.march_samples
 
-    def counted(*args, **kwargs):
-        calls.append(args[1:])
-        return real(*args, **kwargs)
+    def counted(rate, coeff, x, times, *args, **kwargs):
+        marches.append((len(x), len(times)))
+        return real(rate, coeff, x, times, *args, **kwargs)
 
-    monkeypatch.setattr(response, "fundamental_matrix_ltv", counted)
+    def refused(*args, **kwargs):
+        raise AssertionError("the transition table was built")
+
+    monkeypatch.setattr(response, "march_samples", counted)
+    monkeypatch.setattr(response, "fundamental_matrix_ltv", refused)
+    return marches
+
+
+def test_ltv_steer_marches_the_grammian_and_the_costate_flow(tmp_path,
+                                                             monkeypatch):
+    # in process: one march of [phi(t0, t); W] (2 n^2 entries, on the grid
+    # [t0, tf]) and one of [x; lambda] (2 n entries, at the samples)
+    from statespace_kit import cli
+
+    marches = _count_marches(monkeypatch)
     inp = write_json(tmp_path / "in.json", {
         "model": _LTV, "x0": [0.0, 0.0], "xf": [1.0, 0.0], "t0": 0.0,
         "tf": 1.0, "samples": 11})
     out = tmp_path / "out"
     assert cli.main(["steer", "--input", inp, "--out", str(out)]) == 0
-    assert calls == [(0.0, 1.0)]
-    assert read_report(out)["results"]["finalError"] <= 1e-4
+    assert marches == [(8, 2), (4, 11)]
+    assert read_report(out)["results"]["finalError"] <= 1e-9
 
 
-def test_ltv_structural_builds_the_fundamental_matrix_once(tmp_path, monkeypatch):
-    # in process; both grammians integrate along one marched transition
-    from statespace_kit import cli, response
+def test_ltv_structural_marches_once_per_grammian(tmp_path, monkeypatch):
+    # in process: one march of [X; W] for each grammian
+    from statespace_kit import cli
 
-    calls = []
-    real = response.fundamental_matrix_ltv
-
-    def counted(*args, **kwargs):
-        calls.append(args[1:])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(response, "fundamental_matrix_ltv", counted)
+    marches = _count_marches(monkeypatch)
     inp = write_json(tmp_path / "in.json", {"model": _LTV, "horizon": [0.0, 1.0]})
     out = tmp_path / "out"
     assert cli.main(["structural", "--input", inp, "--out", str(out)]) == 0
-    assert calls == [(0.0, 1.0)]
+    assert marches == [(8, 2), (8, 2)]
     results = read_report(out)["results"]
     assert results["ctrbGrammian"]["minEig"] > 0
     assert results["obsvGrammian"]["minEig"] > 0

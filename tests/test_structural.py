@@ -18,6 +18,7 @@ from statespace_kit.errors import (
     IllConditioned,
     Overflow,
     RepeatedEigenvalues,
+    SingularFundamental,
     SingularGrammian,
     Uncontrollable,
     Unobservable,
@@ -303,6 +304,25 @@ def test_ltv_grammians_refuse_an_infinite_horizon():
     for grammian in (controllability_grammian, observability_grammian):
         with pytest.raises(ValueError, match="constant-coefficient model"):
             grammian(model, 0.0, np.inf)
+
+
+def _integrator_ramp():
+    # A(t) = t [[0, 1], [0, 0]]: phi(t, tau) = [[1, (t^2 - tau^2) / 2], [0, 1]]
+    N = np.array([[0.0, 1.0], [0.0, 0.0]])
+    return ltv_model(lambda t: t * N, B=lambda t: np.array([[0.0], [1.0]]),
+                     C=lambda t: np.array([[1.0, 0.0]]))
+
+
+@pytest.mark.parametrize("T", [1.0, 3.0])
+def test_ltv_grammians_closed_form(T):
+    model = _integrator_ramp()
+    W = np.array([[T**5 / 20, -T**3 / 6], [-T**3 / 6, T]])
+    H = np.array([[T, T**3 / 6], [T**3 / 6, T**5 / 20]])
+    tol = 1e-11 * np.abs(W).max()
+    np.testing.assert_allclose(controllability_grammian(model, 0.0, T).matrix,
+                               W, rtol=0, atol=tol)
+    np.testing.assert_allclose(observability_grammian(model, 0.0, T).matrix,
+                               H, rtol=0, atol=tol)
 
 
 def test_grammian_range_equals_reachable_subspace():
@@ -679,6 +699,24 @@ def test_steer_trajectory_is_exact_flow(expm_calls):
     np.testing.assert_allclose(traj.states[-1], [0.0, 1.0], atol=1e-10)
     for i in (0, 77, 200):
         np.testing.assert_allclose(traj.inputs[i], u(traj.times[i]), atol=1e-10)
+
+
+@pytest.mark.parametrize("T", [1.0, 3.0])
+def test_ltv_steer_reaches_the_target_with_its_control(T):
+    xf = np.array([0.5, 2.0])
+    u, traj = minimum_energy_steer(_integrator_ramp(), [1.0, -1.0], xf, 0.0, T,
+                                   samples=21)
+    np.testing.assert_allclose(traj.states[-1], xf, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(traj.inputs, [u(t) for t in traj.times],
+                               rtol=0, atol=1e-10)
+
+
+def test_ltv_steer_raises_when_the_costate_flow_overflows():
+    # the grammian march decays like e^{-100 t}; the forward march of x
+    # amplifies its rounding like e^{100 t}, past the float range by t = 10
+    model = ltv_model(lambda t: [[100.0]], B=lambda t: [[1.0]])
+    with pytest.raises(SingularFundamental, match="state-costate"):
+        minimum_energy_steer(model, [1.0], [0.0], 0.0, 10.0)
 
 
 def test_steer_singular_grammian_raises():

@@ -9,9 +9,12 @@ whether the ``scipy`` package got loaded (scipy's LAPACK extension alone,
 loaded by file, does not count), which ``statespace_kit.*`` modules did,
 and its own peak resident set (VmHWM of /proc/self/status, which unlike
 ru_maxrss does not inherit the parent's); its wall time, spawn to exit, is
-what a user of the batch tool waits for. After one untimed run per command
-and tree (which also compiles bytecode), each command runs k times per
-tree, the two trees alternating and swapping which goes first every round.
+what a user of the batch tool waits for. The children run without
+PYTHONDONTWRITEBYTECODE and with PYTHONPYCACHEPREFIX in the tool's temporary
+directory, so the one untimed run per command and tree writes the package's
+bytecode and the timed runs load it, as from an installed package. Then
+each command runs k times per tree, the two trees alternating and swapping
+which goes first every round.
 
 The JSON written to FILE (default BENCH_cold_start.json) holds, per command
 and tree, the median and quartiles of the wall time and of the peak
@@ -19,7 +22,7 @@ resident set in MB, the exit codes and the scipy-loaded flags seen, and the
 sorted package modules loaded with their count (a deterministic figure
 beside the wall time; a run that loads a different set stops the tool),
 plus the host, the Python, numpy and scipy versions, STATESPACE_KIT_THREADS
-(1 unless set) and k. A markdown table of the medians (wall time and peak
+(1 unless set), the two bytecode settings and k. A markdown table of the medians (wall time and peak
 MB) and module counts goes to stdout. Standard library only.
 """
 
@@ -126,9 +129,12 @@ def main(argv=None):
         ap.error("-k must be at least 2")
     trees = {"parent": args.parent, "change": args.change}
     threads = os.environ.get("STATESPACE_KIT_THREADS", "1")
-    env = dict(os.environ, STATESPACE_KIT_THREADS=threads)
     samples = {c: {side: [] for side in trees} for c in DOCUMENTS}
     with tempfile.TemporaryDirectory() as tmp:
+        env = {k: v for k, v in os.environ.items()
+               if k != "PYTHONDONTWRITEBYTECODE"}
+        env.update(STATESPACE_KIT_THREADS=threads,
+                   PYTHONPYCACHEPREFIX=os.path.join(tmp, "pycache"))
         inputs = {}
         for command, doc in DOCUMENTS.items():
             inputs[command] = os.path.join(tmp, command + ".json")
@@ -149,7 +155,9 @@ def main(argv=None):
         "software": {"python": platform.python_version(),
                      "numpy": importlib.metadata.version("numpy"),
                      "scipy": importlib.metadata.version("scipy")},
-        "settings": {"STATESPACE_KIT_THREADS": threads, "k": args.k},
+        "settings": {"STATESPACE_KIT_THREADS": threads, "k": args.k,
+                     "PYTHONDONTWRITEBYTECODE": "unset",
+                     "PYTHONPYCACHEPREFIX": "<temporary directory>/pycache"},
         "commands": {},
     }
     print("| command | parent (s) | change (s) | peak MB (parent / change) "
