@@ -15,6 +15,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 from typing import Dict, Iterable, Optional
@@ -161,8 +162,73 @@ def _parse_tolerances(pairs, command: str,
 
 
 def _report_text(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2,
-                      ensure_ascii=True) + "\n"
+    """json.dumps(report, sort_keys=True, indent=2, ensure_ascii=True) + "\\n",
+    written here because json skips its C encoder when indent is set."""
+    out = []
+    _encode(report, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == float("inf"):
+        return "Infinity"
+    if x == -float("inf"):
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _encode(value, newline: str, out: list) -> None:
+    """Append value's json text at the indent that newline ends with.
+
+    Exact str, int, float, list, tuple and str-keyed dict values are
+    written as json writes them; a list of floats whose sum is finite (so
+    every float is) is one join. Any other value, such as a float subclass
+    or a dict with other keys, goes to json.dumps with the same settings
+    and is re-indented: ensure_ascii text holds no raw newline in a string.
+    """
+    kind = type(value)
+    if kind is str:
+        out.append(json.encoder.encode_basestring_ascii(value))
+    elif kind is float:
+        out.append(_float_text(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif value is None or kind is bool:
+        out.append(_CONSTANTS[value])
+    elif kind is list or kind is tuple:
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        if all(type(v) is float for v in value) and math.isfinite(sum(value)):
+            out.append("[" + inner + ("," + inner).join(map(float.__repr__, value))
+                       + newline + "]")
+            return
+        out.append("[")
+        for i, v in enumerate(value):
+            out.append("," + inner if i else inner)
+            _encode(v, inner, out)
+        out.append(newline + "]")
+    elif kind is dict and all(type(k) is str for k in value):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        out.append("{")
+        for i, key in enumerate(sorted(value)):
+            out.append(("," + inner if i else inner)
+                       + json.encoder.encode_basestring_ascii(key) + ": ")
+            _encode(value[key], inner, out)
+        out.append(newline + "}")
+    else:
+        out.append(json.dumps(value, sort_keys=True, indent=2,
+                              ensure_ascii=True).replace("\n", newline))
 
 
 def _write_outputs(outdir: str, report: dict,

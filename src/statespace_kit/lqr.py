@@ -470,21 +470,40 @@ def symmetric_root_locus_multi(a, numerators, r_values) -> tuple:
 
 
 def _srl_core(a, numerators, r_values):
+    """The weights go in blocks of 1, 2, 4, ... (at most about 1 MB of
+    companion matrices each), one stacked root call per block, and are
+    checked in order after it: a sweep that fails early stacks at most about
+    twice the weights it needed, and errors come in weight order."""
     a_even = np.convolve(a, numkit.poly_reflect(a))
     b_even = np.array([0.0])
     for b in numerators:
         b_even = np.polyadd(b_even, np.convolve(b, numkit.poly_reflect(b)))
-    out = []
-    for r in np.atleast_1d(np.asarray(r_values, dtype=float)):
-        p = np.polyadd(a_even * r, b_even)
-        roots = numkit.poly_roots(p)
-        # each root must match the mirror image -z of a root
-        band = 1e-8 * (1.0 + max((abs(z) for z in roots), default=0.0))
-        if None in numkit.match_roots(roots, -roots, band):
-            raise IllConditioned("root locus lost its axis symmetry")
-        stable = np.asarray(sorted((z for z in roots if z.real < 0),
-                                   key=lambda w: (w.real, w.imag)), dtype=complex)
-        out.append(SrlPoint(r=float(r), roots=roots, stable_roots=stable))
+    width = max(a_even.size, b_even.size)
+
+    def padded(c):  # zeros on the left, as np.polyadd pads
+        return np.concatenate((np.zeros(c.shape[:-1] + (width - c.shape[-1],)), c),
+                              axis=-1) if c.shape[-1] < width else c
+
+    weights = np.atleast_1d(np.asarray(r_values, dtype=float))
+    cap = max(1, (1 << 17) // ((width - 1) ** 2 + 1))
+    out, size = [], 1
+    while len(out) < weights.size:
+        r = weights[len(out):len(out) + size]
+        # row k is np.polyadd(a_even * r[k], b_even)
+        rows = padded(np.multiply.outer(r, a_even)) + padded(b_even)
+        try:
+            found = numkit.poly_roots(rows)
+        except np.linalg.LinAlgError:  # row by row: the first failing weight raises
+            found = map(numkit.poly_roots, rows)
+        for rk, roots in zip(r.tolist(), found):
+            # each root must match the mirror image -z of a root
+            band = 1e-8 * (1.0 + np.hypot(roots.real, roots.imag).max(initial=0.0))
+            if None in numkit.match_roots(roots, -roots, band):
+                raise IllConditioned("root locus lost its axis symmetry")
+            stable = roots[roots.real < 0]
+            stable = stable[np.lexsort((stable.imag, stable.real))].astype(complex)
+            out.append(SrlPoint(r=rk, roots=roots, stable_roots=stable))
+        size = min(2 * size, cap)
     return tuple(out)
 
 

@@ -701,11 +701,59 @@ def poly_from_roots(roots) -> np.ndarray:
     return np.atleast_1d(np.poly(np.asarray(roots))) if len(roots) else np.array([1.0])
 
 
-def poly_roots(a) -> np.ndarray:
-    c = poly_trim(a)
-    if poly_degree(c) < 1:
-        return np.array([], dtype=complex)
-    return np.roots(c)
+def poly_roots(a):
+    """Roots of one polynomial, or one root array per row of a 2-D stack,
+    with np.roots' bits and conventions.
+
+    Each row is cast to real and trimmed of leading zeros as poly_trim does,
+    once; a row of degree below 1 has no roots. The rows with the same
+    counts of leading and trailing exact zeros share one eigvals call on
+    their companion matrices diag(ones(N - 2), -1) with first row
+    -p[1:] / p[0] (Edelman & Murakami, Math. Comp. 64(210), 1995). As
+    np.roots does for each row: the roots are real when every imaginary part
+    is 0, and each trailing zero adds a zero root.
+    """
+    p = np.asarray(a)
+    rows = p if p.ndim == 2 else np.atleast_1d(p)[None]
+    top = np.abs(rows).max(axis=1)  # nan if a row holds one
+    if rows.dtype.kind == "c":
+        real = (np.abs(rows.imag) < 1e-12 * np.fmax(1.0, top)[:, None]).all(axis=1)
+        rows = np.where(real[:, None], rows.real, rows)
+    else:
+        real = np.ones(rows.shape[0], dtype=bool)
+        rows = rows.astype(float, copy=False)
+    width = rows.shape[1]
+    nonzero = rows != 0
+    lead = nonzero.argmax(axis=1)
+    trail = nonzero[:, ::-1].argmax(axis=1)
+    # poly_trim keeps every zero of a row whose largest magnitude is inf
+    kept = np.where(top == np.inf, width, width - lead)
+    roots, groups = [], {}
+    for i, (lo, tz, re, has, k) in enumerate(zip(
+            lead.tolist(), trail.tolist(), real.tolist(),
+            nonzero.any(axis=1).tolist(), kept.tolist())):
+        if not has or k < 2:
+            roots.append(np.array([], dtype=complex))
+        elif width - lo - tz < 2:
+            roots.append(np.zeros(tz))
+        else:
+            groups.setdefault((lo, tz, re), []).append(i)
+            roots.append(None)
+    for (lo, tz, re), members in groups.items():
+        c = rows[members, lo:width - tz]
+        if re:
+            c = c.real
+        m = c.shape[1] - 1
+        A = np.zeros((len(members), m, m), dtype=c.dtype)
+        A[:, 0, :] = -c[:, 1:] / c[:, :1]
+        A[:, np.arange(1, m), np.arange(m - 1)] = 1
+        W = np.linalg.eigvals(A)
+        W = np.concatenate((W, np.zeros((len(members), tz), W.dtype)), axis=1)
+        # eigvals drops the imaginary parts only if the whole stack is real
+        cast = re and W.dtype.kind == "c"
+        for i, w in zip(members, W):
+            roots[i] = w.real.copy() if cast and not w.imag.any() else w
+    return roots if p.ndim == 2 else roots[0]
 
 
 def poly_divmod(num, den):

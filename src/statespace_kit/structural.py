@@ -520,6 +520,8 @@ def minimum_energy_steer(model, x0, xf, t0: float, tf: float,
         A, B, n = model.A, model.B, model.n
         flow = np.block([[A, -B @ B.T], [np.zeros((n, n)), -A.T]])
         z = numkit.expm_flow(flow, np.concatenate([x0, eta]), times)
+        if len(z) < times.size:
+            raise SingularFundamental("the state-costate flow left the finite range")
         return u, lti_trajectory(model, times, z[:, :n], -(z[:, n:] @ B))
     z = simulate(_costate_flow(model), np.concatenate([x0, eta]), times)
     if z.truncated:

@@ -9,6 +9,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 
 def run_cli(*args):
@@ -320,9 +321,16 @@ LTV_BLOW_UPS = [
 ]
 
 
+# the same system as a constant model: its state-costate flow overflows too
+_LTI_STEER_OVERFLOW = (
+    "steer", {"model": {"type": "lti", "A": [[400.0, 0.0], [0.0, 1.0]],
+                        "B": [[1.0], [1.0]], "C": [[1.0, 0.0]]},
+              "x0": [1.0, -1.0], "xf": [0.0, 0.0], "t0": 0.0, "tf": 10.0}, 1)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("command,doc,code", LTV_BLOW_UPS,
-                         ids=[case[0] for case in LTV_BLOW_UPS])
+@pytest.mark.parametrize("command,doc,code", LTV_BLOW_UPS + [_LTI_STEER_OVERFLOW],
+                         ids=[case[0] for case in LTV_BLOW_UPS] + ["lti-steer"])
 def test_ltv_blow_up_prints_no_warning(tmp_path, capsys, command, doc, code):
     from statespace_kit import cli
 
@@ -785,12 +793,12 @@ def test_domain_error_lands_in_report(tmp_path):
 
 
 def test_srl_lost_symmetry_lands_in_report(tmp_path, monkeypatch):
-    # in process, so the root finder can be replaced by one whose roots are
-    # not mirrored across the imaginary axis
-    from statespace_kit import cli, numkit
+    # in process, so the stacked eigenvalue call can be replaced by one
+    # whose roots are not mirrored across the imaginary axis
+    from statespace_kit import cli
 
-    monkeypatch.setattr(numkit, "poly_roots",
-                        lambda a: np.array([-1.0, -2.0], dtype=complex))
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: np.broadcast_to(
+        np.array([-1.0, -2.0], dtype=complex), a.shape[:-1]))
     inp = write_json(tmp_path / "in.json",
                      {"plant": {"num": [1.0], "den": [1.0, 1.0]}})
     out = tmp_path / "out"
@@ -928,6 +936,50 @@ def test_report_json_is_canonical(tmp_path):
     assert text == json.dumps(parsed, sort_keys=True, indent=2,
                               ensure_ascii=True) + "\n"
 
+
+
+_SPECIAL_FLOATS = [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324,
+                   1e308, -1e308, 1.5]
+_LEAVES = st.one_of(
+    st.none(), st.booleans(),
+    st.integers(min_value=-10 ** 40, max_value=10 ** 40),
+    st.floats(), st.sampled_from(_SPECIAL_FLOATS),
+    st.text(alphabet=st.characters(codec="utf-8")),  # controls and non-ASCII
+    st.floats().map(np.float64))
+_FLOAT_LISTS = st.lists(st.one_of(st.sampled_from(_SPECIAL_FLOATS),
+                                  st.floats(allow_nan=False)), max_size=8)
+
+
+def _json_values(children):
+    return st.one_of(st.lists(children, max_size=5),
+                     st.lists(children, max_size=5).map(tuple),
+                     st.dictionaries(st.text(max_size=6), children, max_size=5),
+                     _FLOAT_LISTS, _FLOAT_LISTS.map(tuple))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.dictionaries(st.text(max_size=8),
+                       st.recursive(_LEAVES, _json_values, max_leaves=20)))
+def test_report_writer_matches_json_dumps(report):
+    from statespace_kit import cli
+
+    assert cli._report_text(report) == json.dumps(
+        report, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+
+
+def test_report_writer_hands_other_values_to_json():
+    from statespace_kit import cli
+
+    for report in ({"a": {2: [1.0, np.float64(2.5)], 1: ()}},
+                   {"b": [np.float64(1.0), 0.5], "c": {"d": {True: None}}}):
+        assert cli._report_text(report) == json.dumps(
+            report, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+    for report in ({"a": [np.int64(1)]}, {"a": {"b": [1.0, np.int64(1)]}},
+                   {"a": {1: 2, "b": 3}}):
+        with pytest.raises(TypeError):
+            json.dumps(report, sort_keys=True, indent=2, ensure_ascii=True)
+        with pytest.raises(TypeError):
+            cli._report_text(report)
 
 def test_thread_cap_seeds_blas_env():
     from statespace_kit.cli import _BLAS_ENV_VARS

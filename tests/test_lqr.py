@@ -15,6 +15,7 @@ from statespace_kit import numkit
 from statespace_kit.errors import (
     ArgumentError,
     AxisEigenvalue,
+    IllConditioned,
     NotDetectable,
     NotStabilizable,
     RepeatedHamiltonianEigenvalues,
@@ -524,6 +525,86 @@ def test_srl_multi_state_weight():
                                  R=np.array([[1.0]]))).closed_loop_poles
     np.testing.assert_allclose(sorted_complex(pts[0].stable_roots),
                                sorted_complex(poles), atol=1e-6)
+
+
+def _srl_reference(a, numerators, r):
+    """One weight as the root locus solved it before weights were stacked."""
+    a_even = np.convolve(a, numkit.poly_reflect(a))
+    b_even = np.array([0.0])
+    for b in numerators:
+        b_even = np.polyadd(b_even, np.convolve(b, numkit.poly_reflect(b)))
+    roots = np.roots(numkit.poly_trim(np.polyadd(a_even * r, b_even)))
+    stable = np.asarray(sorted((z for z in roots if z.real < 0),
+                               key=lambda w: (w.real, w.imag)), dtype=complex)
+    return roots, stable
+
+
+def test_srl_stacked_weights_match_one_weight_at_a_time():
+    # a(0) = b(0) = 0 puts trailing zeros in every row; 40 weights cross
+    # several blocks; a numerator longer than a pads the other side
+    gen = rng(433)
+    a = np.concatenate([np.poly(-gen.uniform(0.5, 3.0, size=5)), [0.0]])
+    cases = [(a, [np.concatenate([gen.normal(size=3), [0.0]])]),
+             (a, [gen.normal(size=2), gen.normal(size=4)]),
+             ([1.0, 2.0], [[1.0, 0.0, 3.0]])]
+    for a, numerators in cases:
+        weights = np.logspace(-4, 4, 40)
+        points = symmetric_root_locus_multi(a, numerators, weights)
+        assert [pt.r for pt in points] == weights.tolist()
+        for pt in points:
+            roots, stable = _srl_reference(np.asarray(a), numerators, pt.r)
+            assert pt.roots.dtype == roots.dtype
+            assert pt.roots.tobytes() == roots.tobytes()
+            assert pt.stable_roots.tobytes() == stable.tobytes()
+
+
+def _gaussian_plant():
+    """A 16-state Gaussian plant whose locus loses its axis symmetry at
+    r = 100 to rounding in the degree-32 polynomial, but not at r = 0.01."""
+    gen = rng(5)
+    A = gen.standard_normal((16, 16)) / 4.0
+    A -= (np.max(np.linalg.eigvals(A).real) + 0.5) * np.eye(16)
+    return np.real(np.poly(A)), [gen.standard_normal(int(gen.integers(1, 16)))]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_srl_errors_come_in_weight_order():
+    a, numerators = _gaussian_plant()
+    assert len(symmetric_root_locus_multi(a, numerators, [0.01] * 5)) == 5
+    with pytest.raises(IllConditioned):
+        symmetric_root_locus_multi(a, numerators, [100.0])
+    # the mirror failure at weight 3 comes before the non-finite weight 5,
+    # in one block or across two
+    for k, j in ((3, 5), (1, 2), (2, 9)):
+        weights = [0.01] * 12
+        weights[k], weights[j] = 100.0, np.inf
+        with pytest.raises(IllConditioned):
+            symmetric_root_locus_multi(a, numerators, weights)
+        weights[k], weights[j] = np.inf, 100.0
+        with pytest.raises(np.linalg.LinAlgError):
+            symmetric_root_locus_multi(a, numerators, weights)
+
+
+def test_srl_failing_early_stacks_few_weights(monkeypatch):
+    a, numerators = _gaussian_plant()
+    eigvals = np.linalg.eigvals
+    stacked = []
+
+    def counting(A):
+        stacked.append(A.shape[0] if A.ndim == 3 else 1)
+        return eigvals(A)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    for k in range(40):
+        stacked.clear()
+        weights = [0.01] * 200
+        weights[k] = 100.0
+        with pytest.raises(IllConditioned):
+            symmetric_root_locus_multi(a, numerators, weights)
+        assert k + 1 <= sum(stacked) <= 2 * k + 1
+    stacked.clear()
+    symmetric_root_locus_multi(a, numerators, [0.01] * 25)
+    assert stacked == [1, 2, 4, 8, 10]
 
 
 # ---------------------------------------------------------------------------

@@ -557,3 +557,40 @@ def test_poly_helpers():
     # reflection s -> -s flips odd coefficients
     np.testing.assert_allclose(numkit.poly_reflect([1.0, 3.0, 2.0]),
                                [1.0, -3.0, 2.0])
+
+
+def _np_roots_or_none(row):
+    """np.roots of a row of degree 1 or more, else the empty root array."""
+    if numkit.poly_degree(row) < 1:
+        return np.array([], dtype=complex)
+    return np.roots(row)
+
+
+def test_stacked_poly_roots_match_np_roots_bit_for_bit():
+    gen = rng(421)
+    for trial in range(240):
+        width = int(gen.integers(2, 42))  # degree 1 to 40
+        rows = gen.normal(size=(int(gen.integers(1, 41)), width))
+        if trial % 4 == 1:  # leading and trailing exact zeros, row by row
+            for row in rows:
+                row[:gen.integers(0, width)] = 0.0
+                row[width - gen.integers(0, width):] = 0.0
+        elif trial % 4 == 2:  # every root real
+            rows = np.array([np.poly(gen.normal(size=width - 1)) for _ in rows])
+        elif trial % 4 == 3:  # small integers: many exact zeros and ties
+            rows = np.round(2.0 * rows)
+        found = numkit.poly_roots(rows)
+        assert isinstance(found, list) and len(found) == len(rows)
+        for row, roots in zip(rows, found):
+            ref = _np_roots_or_none(row)
+            assert roots.dtype == ref.dtype and roots.tobytes() == ref.tobytes()
+        # one polynomial is a stack of one
+        single = numkit.poly_roots(rows[0])
+        assert single.tobytes() == _np_roots_or_none(rows[0]).tobytes()
+    assert numkit.poly_roots([[1.0, -3.0, 2.0]])[0].dtype == float
+    assert numkit.poly_roots([0.0, 0.0, 4.0]).size == 0
+    assert numkit.poly_roots([[1.0, 0.0, 0.0]])[0].tolist() == [0.0, 0.0]
+    # a complex polynomial keeps complex roots; negligible imaginary parts
+    # are dropped first, as poly_trim drops them
+    assert numkit.poly_roots([1.0, 2j]).tolist() == [-2j]
+    assert numkit.poly_roots([1.0 + 1e-15j, -2.0]).dtype == float
