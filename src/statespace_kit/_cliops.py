@@ -478,10 +478,10 @@ def _lti_model(doc: dict) -> StateSpace:
 
 
 # ---------------------------------------------------------------------------
-# command handlers: (doc, tol, seed) -> (results, files, warnings)
+# command handlers: (doc, tol) -> (results, files, warnings)
 
 
-def _h_realize(doc, tol, seed):
+def _h_realize(doc, tol):
     from . import realization
 
     form = doc.get("form", "ccf")
@@ -532,7 +532,7 @@ def _mode_table(sys: StateSpace, mode_tol):
     } for i, j in zip(rows, mates)]
 
 
-def _h_analyze(doc, tol, seed):
+def _h_analyze(doc, tol):
     from . import structural
 
     sys = _lti_model(doc)
@@ -546,7 +546,7 @@ def _h_analyze(doc, tol, seed):
     return results, {}, []
 
 
-def _h_stability(doc, tol, seed):
+def _h_stability(doc, tol):
     from . import stability
 
     sys = _lti_model(doc)
@@ -568,7 +568,7 @@ def _h_stability(doc, tol, seed):
     return results, {}, []
 
 
-def _h_structural(doc, tol, seed):
+def _h_structural(doc, tol):
     from . import structural
     from .model import StateSpace
 
@@ -620,7 +620,7 @@ def _h_structural(doc, tol, seed):
     return results, {}, warnings
 
 
-def _h_place(doc, tol, seed):
+def _h_place(doc, tol):
     from . import synthesis
 
     sys = _lti_model(doc)
@@ -634,7 +634,7 @@ def _h_place(doc, tol, seed):
     return results, {}, []
 
 
-def _h_observer(doc, tol, seed):
+def _h_observer(doc, tol):
     from . import synthesis
 
     sys = _lti_model(doc)
@@ -672,7 +672,7 @@ def _h_observer(doc, tol, seed):
     return results, {}, []
 
 
-def _h_integral(doc, tol, seed):
+def _h_integral(doc, tol):
     from . import synthesis
 
     sys = _lti_model(doc)
@@ -690,7 +690,7 @@ def _h_integral(doc, tol, seed):
     return results, {}, []
 
 
-def _h_diophantine(doc, tol, seed):
+def _h_diophantine(doc, tol):
     from . import synthesis
     from .numkit import poly_degree
 
@@ -723,6 +723,7 @@ def _h_diophantine(doc, tol, seed):
 
 def _lqr_problem(doc) -> LqrProblem:
     from .lqr import LqrProblem
+    from .model import StateSpace
 
     model = _linear_model(doc)
     Q, R = _weights(doc, model)
@@ -731,13 +732,16 @@ def _lqr_problem(doc) -> LqrProblem:
         M = _matrix(doc["M"], "/M", rows=model.n, cols=model.n)
     t0 = _optional_number(doc, "t0", "", default=0.0)
     t1 = _optional_number(doc, "t1", "", default=None)
+    if t1 is None and not isinstance(model, StateSpace):
+        _fail("the stationary design needs a constant-coefficient (lti) model; "
+              "a time-varying model needs a finite horizon t1", "/model/type")
     try:
         return LqrProblem(sys=model, Q=Q, R=R, M=M, t0=t0, t1=t1)
     except ArgumentError as exc:
         _fail(str(exc), f"/{exc.name}")
 
 
-def _h_lqr(doc, tol, seed):
+def _h_lqr(doc, tol):
     from . import lqr
 
     prob = _lqr_problem(doc)
@@ -775,7 +779,7 @@ def _r_values(doc) -> np.ndarray:
     return _log_grid(doc.get("r_range", {}), "/r_range", 1e-2, 1e2, 25)
 
 
-def _h_srl(doc, tol, seed):
+def _h_srl(doc, tol):
     from . import lqr, realization
 
     if doc.get("plant") is not None:
@@ -800,7 +804,7 @@ def _h_srl(doc, tol, seed):
     return results, files, []
 
 
-def _h_margins(doc, tol, seed):
+def _h_margins(doc, tol):
     from . import lqr
 
     prob = _lqr_problem(doc)
@@ -835,7 +839,7 @@ def _times_from_doc(doc) -> np.ndarray:
     return np.linspace(t0, t1, _count(doc, "samples", 201, 2))
 
 
-def _h_simulate(doc, tol, seed):
+def _h_simulate(doc, tol):
     from . import response
 
     model = _extract_model(doc)
@@ -865,7 +869,7 @@ def _h_simulate(doc, tol, seed):
     return results, files, warnings
 
 
-def _h_steer(doc, tol, seed):
+def _h_steer(doc, tol):
     from . import structural
 
     model = _linear_model(doc)
@@ -892,7 +896,7 @@ def _h_steer(doc, tol, seed):
     return results, files, []
 
 
-def _h_tpbvp(doc, tol, seed):
+def _h_tpbvp(doc, tol):
     from . import minprin
 
     kind = doc.get("kind", "lq")
@@ -967,7 +971,7 @@ def _h_tpbvp(doc, tol, seed):
     return results, files, []
 
 
-def _h_mintime(doc, tol, seed):
+def _h_mintime(doc, tol):
     from . import minprin
 
     x0 = _vector(_require(doc, "x0", "/"), "/x0", length=2)

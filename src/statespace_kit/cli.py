@@ -309,7 +309,7 @@ def main(argv=None) -> int:
     # looked up per call: the benchmark tracer replaces the entries
     handler = _cliops.HANDLERS[args.command]
     try:
-        results, files, warnings = handler(doc, overrides, args.seed)
+        results, files, warnings = handler(doc, overrides)
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -194,15 +194,10 @@ class HamiltonianPencil:
     vectors: np.ndarray  # right eigenvector columns, parallel to spectrum
 
 
-def _hamiltonian(prob: LqrProblem):
-    """The coupled state-costate flow matrix H, with R^-1 and S = B R^-1 B'."""
+def build_hamiltonian(prob: LqrProblem) -> HamiltonianPencil:
     if not isinstance(prob.sys, StateSpace):
         raise TypeError("constant-coefficient model required")
-    return numkit.hamiltonian(prob.sys.A, prob.sys.B, prob.Q, prob.R)
-
-
-def build_hamiltonian(prob: LqrProblem) -> HamiltonianPencil:
-    H, _, _ = _hamiltonian(prob)
+    H, _, _ = numkit.hamiltonian(prob.sys.A, prob.sys.B, prob.Q, prob.R)
     eig = numkit.eigen(H)
     return HamiltonianPencil(matrix=H, spectrum=eig.values,
                              vectors=eig.right_vectors)
@@ -329,7 +324,7 @@ def solve_are(prob: LqrProblem) -> RiccatiSolution:
             raise NotDetectable("unstable dynamics carry no cost; value undefined")
     elif not report.detectable:
         raise NotDetectable("an unstable mode is invisible to the cost")
-    H, Rinv, S = _hamiltonian(prob)
+    H, Rinv, S = numkit.hamiltonian(sys.A, sys.B, prob.Q, prob.R)
     lam = np.linalg.eigvals(H)
     # relative to the spectrum alone: H -> cH leaves the verdict unchanged
     tol = 1e-9 * float(np.max(np.abs(lam)))

@@ -121,7 +121,6 @@ def solve_lq_tpbvp(prob: TpbvpProblem, samples: int = 401) -> TpbvpSolution:
 class BangBangSolution:
     switching_times: tuple
     control_pieces: tuple  # (t_start, t_end, u) per piece
-    trajectory_pieces: tuple  # descriptor strings, one per piece
     terminal_time: float
     cost: float | None
 
@@ -157,13 +156,8 @@ def solve_bilinear_bang_bang(x0: float, t1: float) -> BangBangSolution:
     plateau = x0 * float(np.exp(ts))
     cost = -plateau  # only the final unit contributes, at weight (0-1)
     pieces = ((0.0, ts, 1.0), (ts, t1, 0.0))
-    desc = (
-        f"x(t) = {x0:g} exp(t) on [0, {ts:g}]",
-        f"x(t) = {plateau:.12g} on [{ts:g}, {t1:g}]",
-    )
     sol = BangBangSolution(
-        switching_times=(ts,), control_pieces=pieces, trajectory_pieces=desc,
-        terminal_time=t1, cost=cost,
+        switching_times=(ts,), control_pieces=pieces, terminal_time=t1, cost=cost,
     )
     return sol
 
@@ -218,7 +212,6 @@ def solve_double_integrator_min_time(x0) -> BangBangSolution:
     if abs(x1) <= eps and abs(x2) <= eps:
         return BangBangSolution(
             switching_times=(), control_pieces=((0.0, 0.0, 0.0),),
-            trajectory_pieces=("already at the target",),
             terminal_time=0.0, cost=0.0,
         )
     if abs(curve) <= eps:
@@ -226,10 +219,8 @@ def solve_double_integrator_min_time(x0) -> BangBangSolution:
         u = 1.0 if x2 < 0 else -1.0
         t1 = abs(x2)
         pieces = ((0.0, t1, u),)
-        desc = (f"deceleration arc, u = {u:g}, duration {t1:g}",)
         return BangBangSolution(
-            switching_times=(), control_pieces=pieces, trajectory_pieces=desc,
-            terminal_time=t1, cost=t1,
+            switching_times=(), control_pieces=pieces, terminal_time=t1, cost=t1,
         )
     if curve > 0:
         u1, u2 = -1.0, 1.0
@@ -242,13 +233,9 @@ def solve_double_integrator_min_time(x0) -> BangBangSolution:
         x2s = np.sqrt(0.5 * x2 * x2 - x1)
         t1 = ts + x2s
     pieces = ((0.0, ts, u1), (ts, t1, u2))
-    desc = (
-        f"drive arc, u = {u1:g}, reaches the curve at t = {ts:.12g}",
-        f"deceleration arc, u = {u2:g}, stops at t = {t1:.12g}",
-    )
     return BangBangSolution(
         switching_times=(float(ts),), control_pieces=pieces,
-        trajectory_pieces=desc, terminal_time=float(t1), cost=float(t1),
+        terminal_time=float(t1), cost=float(t1),
     )
 
 

@@ -173,6 +173,20 @@ def _fd_jacobian(fun, z0, step=None):
     return J
 
 
+def _jacobians(model: NonlinearModel, x, u, t, step=None):
+    """(A, B, C, D) at (x, u, t): one central-difference Jacobian of
+    z = [x; u] -> [f; h], split at the state's rows and columns."""
+    n = model.n
+
+    def fh(z):
+        x, u = z[:n], z[n:]
+        return np.concatenate([np.asarray(model.f(x, u, t), dtype=float).reshape(-1),
+                               np.asarray(model.h(x, u, t), dtype=float).reshape(-1)])
+
+    J = _fd_jacobian(fh, np.concatenate([x, u]), step)
+    return J[:n, :n], J[:n, n:], J[n:, :n], J[n:, n:]
+
+
 # ---------------------------------------------------------------------------
 # operations
 
@@ -225,24 +239,7 @@ def linearize_at_equilibrium(
         raise StepTooSmall(
             "difference step is below the noise floor for this state scale"
         )
-
-    def f_of_x(x):
-        return np.asarray(model.f(x, ue, 0.0), dtype=float).reshape(-1)
-
-    def f_of_u(u):
-        return np.asarray(model.f(xe, u, 0.0), dtype=float).reshape(-1)
-
-    def h_of_x(x):
-        return np.asarray(model.h(x, ue, 0.0), dtype=float).reshape(-1)
-
-    def h_of_u(u):
-        return np.asarray(model.h(xe, u, 0.0), dtype=float).reshape(-1)
-
-    A = _fd_jacobian(f_of_x, xe, step)
-    B = _fd_jacobian(f_of_u, ue, step) if model.m else np.zeros((model.n, 0))
-    C = _fd_jacobian(h_of_x, xe, step)
-    D = _fd_jacobian(h_of_u, ue, step) if model.m else np.zeros((model.p, 0))
-    return StateSpace(A, B, C, D)
+    return StateSpace(*_jacobians(model, xe, ue, 0.0, step))
 
 
 def linearize_along_trajectory(
@@ -275,23 +272,8 @@ def linearize_along_trajectory(
             f"nominal trajectory residual {worst:.3e} exceeds {residual_tol:.3e}"
         )
 
-    A_samp = []
-    B_samp = []
-    C_samp = []
-    D_samp = []
-    for k in range(t.size):
-        uk = U[k] if model.m else np.zeros(0)
-        A_samp.append(_fd_jacobian(lambda z, _u=uk, _t=t[k]: model.f(z, _u, _t), X[k]))
-        if model.m:
-            B_samp.append(_fd_jacobian(lambda v, _x=X[k], _t=t[k]: model.f(_x, v, _t), uk))
-        C_samp.append(_fd_jacobian(lambda z, _u=uk, _t=t[k]: model.h(z, _u, _t), X[k]))
-        if model.m:
-            D_samp.append(_fd_jacobian(lambda v, _x=X[k], _t=t[k]: model.h(_x, v, _t), uk))
-    A_samp = np.array(A_samp)
-    B_samp = np.array(B_samp) if model.m else np.zeros((t.size, model.n, 0))
-    C_samp = np.array(C_samp)
-    D_samp = np.array(D_samp) if model.m else np.zeros((t.size, model.p, 0))
-
+    A_samp, B_samp, C_samp, D_samp = (np.array(s) for s in zip(*(
+        _jacobians(model, X[k], U[k], t[k]) for k in range(t.size))))
     return LtvModel(
         A=numkit.sample_interpolant(t, A_samp),
         B=numkit.sample_interpolant(t, B_samp),

@@ -499,11 +499,13 @@ def sample_interpolant(times, samples):
 def hamiltonian(A, B, Q, R):
     """Coupled state-costate flow matrix H = [[A, -S], [-Q, -A']].
 
-    Returns (H, R^-1, S) with S = B R^-1 B'.
+    Returns (H, R^-1, S) with S = B R^-1 B'. A, B and Q may be stacks of
+    matrices (one H per leading index), with one R for all of them;
+    Q = 0 and R = I give the minimum-energy steering flow.
     """
     Rinv = np.linalg.solve(R, np.eye(R.shape[0]))
-    S = B @ Rinv @ B.T
-    return np.block([[A, -S], [-Q, -A.T]]), Rinv, S
+    S = B @ Rinv @ B.swapaxes(-1, -2)
+    return np.block([[A, -S], [-Q, -A.swapaxes(-1, -2)]]), Rinv, S
 
 
 # ---------------------------------------------------------------------------

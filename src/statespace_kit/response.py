@@ -156,9 +156,11 @@ def fundamental_matrix_ltv(
 ) -> StateTransition:
     """Fundamental solution of dx/dt = A(t) x on [t0, t1].
 
-    Classical fourth-order stepping (numkit.rk4_march) with nodes forced
-    onto the declared discontinuity points; evaluation between nodes uses
-    cubic Hermite interpolation of the stored solution and its derivative.
+    Classical fourth-order stepping (numkit.rk4_march) in the steps of
+    _plan, with nodes forced onto the declared discontinuity points, so a
+    march over SUBSTEP_BUDGET steps raises WorkBudgetExceeded before the
+    first one; evaluation between nodes uses cubic Hermite interpolation of
+    the stored solution and its derivative.
     """
     n = model.n
     span = float(t1) - float(t0)
@@ -166,6 +168,7 @@ def fundamental_matrix_ltv(
         raise ValueError("need t1 > t0")
     if max_step is None:
         max_step = span / 800.0
+    [pieces] = _plan([t0, t1], max_step, model.piecewise_continuity_breaks)
 
     def A(t):
         return numkit.as_matrix(model.A(t))
@@ -174,10 +177,9 @@ def fundamental_matrix_ltv(
     ts = [t0]
     Us = [np.eye(n)]
     dUs = [start @ Us[0]]
-    for a, b in _segments(t0, t1, model.piecewise_continuity_breaks):
-        steps = max(2, int(np.ceil((b - a) / max_step)))
+    for a, h, steps in pieces:
         for t, U, At in numkit.rk4_march(lambda U, At: At.dot(U), A, a, Us[-1],
-                                         (b - a) / steps, steps, start=start):
+                                         h, steps, start=start):
             ts.append(t)
             Us.append(U)
             dUs.append(At.dot(U))
@@ -426,16 +428,7 @@ def march_samples(rate, coeff, x, times, max_step, breaks,
     floats = type(x) is list
     if max_step is None:
         max_step = (times[-1] - times[0]) / 2000.0
-    pieces = [[(a, b, max(1.0, np.ceil((b - a) / max_step)))
-               for a, b in _segments(times[k], times[k + 1], breaks)]
-              for k in range(times.size - 1)]
-    total = sum(steps for piece in pieces for _, _, steps in piece)
-    if total > SUBSTEP_BUDGET:
-        raise WorkBudgetExceeded(
-            f"fourth-order simulation needs {total:.3g} steps, "
-            f"over the budget of {SUBSTEP_BUDGET}")
-    pieces = [[(a, (b - a) / int(steps), int(steps)) for a, b, steps in piece]
-              for piece in pieces]
+    pieces = _plan(times, max_step, breaks)
     if block is not None:
         coeff = _tabled(coeff, block, pieces, x.size)
     states = [x]
@@ -449,6 +442,24 @@ def march_samples(rate, coeff, x, times, max_step, breaks,
                     return np.array(states)
         states.append(x)
     return np.array(states)
+
+
+def _plan(times, max_step, breaks) -> list:
+    """The fourth-order steps between consecutive times: per interval, the
+    (a, h, steps) of each piece [a, b] between the interval's ends and the
+    breaks, with steps = ceil((b - a) / max_step), at least 1, and
+    h = (b - a) / steps. More than SUBSTEP_BUDGET steps in all raises
+    WorkBudgetExceeded before any is taken."""
+    pieces = [[(a, b, max(1.0, np.ceil((b - a) / max_step)))
+               for a, b in _segments(times[k], times[k + 1], breaks)]
+              for k in range(len(times) - 1)]
+    total = sum(steps for piece in pieces for _, _, steps in piece)
+    if total > SUBSTEP_BUDGET:
+        raise WorkBudgetExceeded(
+            f"fourth-order simulation needs {total:.3g} steps, "
+            f"over the budget of {SUBSTEP_BUDGET}")
+    return [[(a, (b - a) / int(steps), int(steps)) for a, b, steps in piece]
+            for piece in pieces]
 
 
 def _tabled(coeff, block, pieces, n):

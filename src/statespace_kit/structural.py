@@ -35,15 +35,9 @@ def controllability_matrix(A, B) -> np.ndarray:
 
 
 def observability_matrix(A, C) -> np.ndarray:
-    A = numkit.require_square(A)
-    C = numkit.as_matrix(C)
-    n = A.shape[0]
-    if C.shape[0] == 0:
-        return np.zeros((0, n))
-    blocks = [C]
-    for _ in range(n - 1):
-        blocks.append(blocks[-1] @ A)
-    return np.vstack(blocks)
+    """[C; CA; ...; CA^(n-1)], the controllability matrix of (A', C') transposed."""
+    return controllability_matrix(numkit.require_square(A).T,
+                                  numkit.as_matrix(C).T).T
 
 
 @dataclass(frozen=True)
@@ -266,7 +260,6 @@ def grammians(model, t0: float, tf: float) -> tuple:
 @dataclass(frozen=True)
 class ModalControllabilityReport:
     eigenvalues: np.ndarray
-    input_rows: np.ndarray
     row_norms: np.ndarray
     controllable_flags: tuple
 
@@ -284,7 +277,7 @@ def modal_controllability_test(sys: StateSpace, tol: float = None
         tol = 1e-8 * (1.0 + float(norms.max(initial=0.0)))
     flags = tuple(bool(nm > tol) for nm in norms)
     return ModalControllabilityReport(
-        eigenvalues=eig.values, input_rows=Bbar, row_norms=norms,
+        eigenvalues=eig.values, row_norms=norms,
         controllable_flags=flags,
     )
 
@@ -397,7 +390,6 @@ def kalman_decompose(sys: StateSpace, kind: str = "KCCF") -> KalmanDecomposition
 @dataclass(frozen=True)
 class ZeroSet:
     transmission_zeros: np.ndarray
-    pencil_rank_deficiency_tol: float
 
 
 def transmission_zeros(sys: StateSpace, tol: float = 1e-8) -> ZeroSet:
@@ -455,10 +447,7 @@ def transmission_zeros(sys: StateSpace, tol: float = 1e-8) -> ZeroSet:
     sv = np.linalg.svd(S - zeros[:, None, None] * N, compute_uv=False)
     checked = sorted(map(complex, zeros[sv[:, -1] <= 1e-6 * sv[:, 0]]),
                      key=lambda c: (c.real, c.imag))
-    return ZeroSet(
-        transmission_zeros=np.asarray(checked, dtype=complex),
-        pencil_rank_deficiency_tol=tol,
-    )
+    return ZeroSet(transmission_zeros=np.asarray(checked, dtype=complex))
 
 
 def _balanced_io(sys: StateSpace):
@@ -485,7 +474,8 @@ def minimum_energy_steer(model, x0, xf, t0: float, tf: float,
 
     The control is u(t) = -B(t)' phi(t0, t)' eta, eta = W^{-1} (x0 -
     phi(t0, tf) xf): x and the costate lambda = phi(t0, t)' eta follow the
-    flow of [[A, -B B'], [0, -A']] from [x0; eta], and u = -B' lambda. The
+    flow of [[A, -B B'], [0, -A']] from [x0; eta], the state-costate matrix
+    numkit.hamiltonian with Q = 0 and R = I, and u = -B' lambda. The
     flow is exact for constant coefficients. A time-varying model marches
     W and phi(t0, tf) (_ltv_grammian), then the flow (simulate), so the
     final state checks that march; its u(t) marches the transition on the
@@ -518,7 +508,7 @@ def minimum_energy_steer(model, x0, xf, t0: float, tf: float,
     times = np.linspace(t0, tf, samples)
     if isinstance(model, StateSpace):
         A, B, n = model.A, model.B, model.n
-        flow = np.block([[A, -B @ B.T], [np.zeros((n, n)), -A.T]])
+        flow = numkit.hamiltonian(A, B, np.zeros((n, n)), np.eye(model.m))[0]
         z = numkit.expm_flow(flow, np.concatenate([x0, eta]), times)
         if len(z) < times.size:
             raise SingularFundamental("the state-costate flow left the finite range")
@@ -538,8 +528,7 @@ def _costate_flow(model: LtvModel) -> LtvModel:
 
     def A(t):
         a, b = numkit.as_matrix(model.A(t)), numkit.as_matrix(model.B(t))
-        bt = -b.swapaxes(-1, -2)
-        return np.block([[a, b @ bt], [np.zeros_like(a), -a.swapaxes(-1, -2)]])
+        return numkit.hamiltonian(a, b, np.zeros_like(a), np.eye(m))[0]
 
     def C(t):
         b, c, d = (numkit.as_matrix(f(t)) for f in (model.B, model.C, model.D))

@@ -128,11 +128,7 @@ def observer_gain(sys: StateSpace, desired_poles, verify_tol: float = 1e-6) -> G
     if staircase(sys.A.T, sys.C.T).rank < n:
         raise Unobservable("the output cannot see every mode")
     dual = StateSpace(sys.A.T, sys.C.T, np.zeros((1, n)), np.zeros((1, sys.p)))
-    try:
-        g = place_poles(dual, desired_poles, verify_tol)
-    except Uncontrollable as exc:
-        raise Unobservable(str(exc)) from exc
-    L = g.K.T
+    L = place_poles(dual, desired_poles, verify_tol).K.T
     achieved = numkit.eigen(sys.A - L @ sys.C).values
     return GainSet(K=None, L=L,
                    achieved_state_poles=None, achieved_observer_poles=achieved)
@@ -232,8 +228,6 @@ def reduced_order_observer(sys: StateSpace, observer_poles) -> ReducedOrderObser
 class AugmentedSystem:
     A_tilde: np.ndarray
     B_tilde: np.ndarray
-    K1: np.ndarray
-    K2: np.ndarray
     integrator_dim: int
 
 
@@ -262,12 +256,9 @@ def integral_control(sys: StateSpace, desired_poles) -> IntegralControlDesign:
     B_t = np.vstack([sys.B, np.zeros((p, m))])
     aug = StateSpace(A_t, B_t, np.eye(n + p), np.zeros((n + p, m)))
     g = place_poles(aug, desired_poles)
-    K1 = g.K[:, :n]
-    K2 = g.K[:, n:]
     return IntegralControlDesign(
-        gains=(K1, K2),
-        augmented=AugmentedSystem(A_tilde=A_t, B_tilde=B_t, K1=K1, K2=K2,
-                                  integrator_dim=p),
+        gains=(g.K[:, :n], g.K[:, n:]),
+        augmented=AugmentedSystem(A_tilde=A_t, B_tilde=B_t, integrator_dim=p),
         rank_check=rank,
         achieved_poles=g.achieved_state_poles,
     )

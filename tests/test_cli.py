@@ -808,6 +808,23 @@ def test_srl_lost_symmetry_lands_in_report(tmp_path, monkeypatch):
     assert report["error"]["type"] == "IllConditioned"
 
 
+@pytest.mark.parametrize("command", ["lqr", "margins"])
+def test_stationary_design_of_a_time_varying_model_exits_2(tmp_path, capsys,
+                                                           command):
+    from statespace_kit import cli
+
+    model = {"type": "ltv-samples", "times": [0.0, 1.0],
+             "A": [[[0.0, 1.0], [-1.0, -0.5]], [[0.0, 1.0], [-2.0, -0.5]]],
+             "B": [[[0.0], [1.0]], [[0.0], [1.0]]]}
+    inp = write_json(tmp_path / "in.json", {"model": model, "Q": np.eye(2).tolist(),
+                                            "R": [[1.0]]})
+    out = tmp_path / "out"
+    assert cli.main([command, "--input", inp, "--out", str(out)]) == 2
+    assert "/model/type: the stationary design needs a constant-coefficient" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_unknown_builtin_name_pointer(tmp_path):
     inp = write_json(tmp_path / "in.json",
                      {"model": {"type": "nonlinear-builtin", "name": "nope"},

@@ -11,6 +11,8 @@ from statespace_kit.errors import (
 from statespace_kit.model import (
     Equilibrium,
     NonlinearModel,
+    _fd_jacobian,
+    _jacobians,
     find_equilibrium,
     linearize_along_trajectory,
     linearize_at_equilibrium,
@@ -19,6 +21,7 @@ from statespace_kit.model import (
     state_space,
 )
 from statespace_kit.realization import ss_to_tf
+from statespace_kit.registry import builtin_model
 
 
 def magnetic_ball():
@@ -131,6 +134,23 @@ def test_pendulum_linearization_at_inverted_point():
     eq = find_equilibrium(model, [], [3.0, 0.0])
     sys = linearize_at_equilibrium(model, eq)
     np.testing.assert_allclose(sys.A, [[0.0, 1.0], [1.0, 0.0]], atol=1e-7)
+
+
+@pytest.mark.parametrize("step", [None, 1e-4])
+@pytest.mark.parametrize("name", ["magnetic_ball", "pendulum", "vanderpol"])
+def test_one_jacobian_has_the_bits_of_the_four_blocks(name, step):
+    model = builtin_model(name)
+    x, u, t = np.array([0.7, -0.3]), np.full(model.m, 1.3), 0.25
+    blocks = (
+        _fd_jacobian(lambda z: model.f(z, u, t), x, step),
+        _fd_jacobian(lambda v: model.f(x, v, t), u, step) if model.m
+        else np.zeros((model.n, 0)),
+        _fd_jacobian(lambda z: model.h(z, u, t), x, step),
+        _fd_jacobian(lambda v: model.h(x, v, t), u, step) if model.m
+        else np.zeros((model.p, 0)),
+    )
+    for got, ref in zip(_jacobians(model, x, u, t, step), blocks):
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
 
 def test_step_too_small_guard():

@@ -496,6 +496,26 @@ def test_jordan_like_finds_the_block_sizes(sizes, lam):
 
 
 # ---------------------------------------------------------------------------
+# state-costate matrix
+
+
+def test_hamiltonian_of_a_stack_is_the_hamiltonian_of_each_slice():
+    g = np.random.default_rng(5)
+    A = g.standard_normal((6, 3, 3))
+    B = g.standard_normal((6, 3, 2))
+    Q = g.standard_normal((6, 3, 3))
+    Q = Q @ Q.swapaxes(-1, -2)
+    R = np.array([[2.0, 0.5], [0.5, 1.0]])
+    H, Rinv, S = numkit.hamiltonian(A, B, Q, R)
+    assert H.shape == (6, 6, 6)
+    for k in range(6):
+        Hk, Rk, Sk = numkit.hamiltonian(A[k], B[k], Q[k], R)
+        assert H[k].tobytes() == Hk.tobytes()
+        assert S[k].tobytes() == Sk.tobytes()
+        assert Rinv.tobytes() == Rk.tobytes()
+
+
+# ---------------------------------------------------------------------------
 # polynomials
 
 

@@ -159,6 +159,17 @@ def test_ltv_semigroup():
     assert np.max(np.abs(lhs - rhs)) <= 1e-6
 
 
+def test_ltv_fundamental_over_budget_refused_before_the_march(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("the march started")
+
+    monkeypatch.setattr(numkit, "rk4_march", refused)
+    with pytest.raises(WorkBudgetExceeded,
+                       match="needs 1e\\+09 steps, over the budget of 200000"):
+        fundamental_matrix_ltv(ltv_model(lambda t: [[-1.0]]), 0.0, 1e3,
+                               max_step=1e-6)
+
+
 # ---------------------------------------------------------------------------
 # iterated-integral approximation
 

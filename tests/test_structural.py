@@ -719,6 +719,27 @@ def test_ltv_steer_raises_when_the_costate_flow_overflows():
         minimum_energy_steer(model, [1.0], [0.0], 0.0, 10.0)
 
 
+def test_steering_flow_is_the_state_costate_matrix_with_unit_weights():
+    # Q = 0 and R = I give the flow [[A, -B B'], [0, -A']] that steering
+    # built by hand, on one matrix and on a stack; only the zero block's
+    # sign differs, and the exact flow keeps its bytes
+    g = np.random.default_rng(11)
+    times = np.linspace(0.0, 1.0, 21)
+    for n, m in [(1, 1), (2, 1), (3, 2), (5, 3)]:
+        A, B = g.standard_normal((n, n)), g.standard_normal((n, m))
+        flow = numkit.hamiltonian(A, B, np.zeros((n, n)), np.eye(m))[0]
+        inline = np.block([[A, -B @ B.T], [np.zeros((n, n)), -A.T]])
+        assert np.array_equal(flow, inline)
+        z0 = g.standard_normal(2 * n)
+        assert (numkit.expm_flow(flow, z0, times).tobytes()
+                == numkit.expm_flow(inline, z0, times).tobytes())
+        As, Bs = g.standard_normal((4, n, n)), g.standard_normal((4, n, m))
+        stack = numkit.hamiltonian(As, Bs, np.zeros_like(As), np.eye(m))[0]
+        bt = -Bs.swapaxes(-1, -2)
+        assert np.array_equal(stack, np.block(
+            [[As, Bs @ bt], [np.zeros_like(As), -As.swapaxes(-1, -2)]]))
+
+
 def test_steer_singular_grammian_raises():
     sys = state_space(np.diag([-1.0, -2.0]), np.array([[1.0], [0.0]]))
     with pytest.raises(SingularGrammian):
