@@ -26,6 +26,7 @@ from .errors import (
     ArgumentError,
     DegeneratePencil,
     NonSquarePlant,
+    Overflow,
     SchemaError,
     WorkBudgetExceeded,
 )
@@ -909,9 +910,9 @@ def _h_tpbvp(doc, tol):
         prob = minprin.BilinearProblem(x0=x0, t1=t1)
         argmin = minprin.hamiltonian_residual(sol, prob)
         ts = np.linspace(0.0, t1, 401)
-        x = [[minprin.bilinear_state(sol, x0, t)] for t in ts]
-        u = [[sol.control_at(t)] for t in ts]
-        files = {"trajectory.csv": _columns_csv(t=ts, x=x, u=u, y=x)}
+        x = minprin.bilinear_states(sol, x0, ts)[:, None]
+        files = {"trajectory.csv": _columns_csv(
+            t=ts, x=x, u=sol.controls_at(ts)[:, None], y=x)}
         results = {
             "cost": float(sol.cost),
             "residuals": {
@@ -976,14 +977,18 @@ def _h_mintime(doc, tol):
 
     x0 = _vector(_require(doc, "x0", "/"), "/x0", length=2)
     sol = minprin.solve_double_integrator_min_time(x0)
-    prob = minprin.MinTimeProblem(x0=tuple(float(v) for v in x0))
-    argmin = minprin.hamiltonian_residual(sol, prob)
-    terminal = minprin.min_time_terminal_residual(sol, x0)
     t1 = sol.terminal_time
     ts = np.linspace(0.0, t1, 401) if t1 > 0 else np.array([0.0])
     x = minprin.min_time_states(sol, x0, ts)
-    u = [[sol.control_at(t)] for t in ts]
-    files = {"trajectory.csv": _columns_csv(t=ts, x=x, u=u, y=x[:, :1])}
+    # a finite terminal time does not bound the terms of the march
+    if not np.isfinite(x).all():
+        raise Overflow("the state along the optimal run overflowed the "
+                       "representable range")
+    prob = minprin.MinTimeProblem(x0=tuple(float(v) for v in x0))
+    argmin = minprin.hamiltonian_residual(sol, prob)
+    terminal = minprin.min_time_terminal_residual(sol, x0)
+    files = {"trajectory.csv": _columns_csv(
+        t=ts, x=x, u=sol.controls_at(ts)[:, None], y=x[:, :1])}
     results = {
         "residuals": {
             "argminViolations": len(argmin.violations),

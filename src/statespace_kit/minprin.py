@@ -9,7 +9,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import numkit
-from .errors import InvalidHorizon, SingularPsi12
+from .errors import InvalidHorizon, Overflow, SingularPsi12
 from .model import StateSpace
 
 if TYPE_CHECKING:
@@ -125,13 +125,18 @@ class BangBangSolution:
     cost: float | None
 
     def control_at(self, t: float) -> float:
-        for (a, b, u) in self.control_pieces:
-            if a <= t <= b:
-                if t == b and b != self.control_pieces[-1][1]:
-                    continue  # boundary belongs to the next piece
-                return u
-        a, b, u = self.control_pieces[-1]
-        return u
+        return float(self.controls_at((t,))[0])
+
+    def controls_at(self, times) -> np.ndarray:
+        """The input at each of times: that of the first piece whose closed
+        interval holds the time, where the end of a piece belongs to the
+        next piece unless it is the last end; past every piece, the last."""
+        t = np.asarray(times, dtype=float)
+        last = self.control_pieces[-1]
+        out = np.full(t.shape, last[2], dtype=float)
+        for (a, b, u) in reversed(self.control_pieces):  # the first one wins
+            out[(a <= t) & ((t <= b) if b == last[1] else (t < b))] = u
+        return out
 
 
 @dataclass(frozen=True)
@@ -146,14 +151,20 @@ def solve_bilinear_bang_bang(x0: float, t1: float) -> BangBangSolution:
     """Closed-form optimizer: full input up to one unit before the end, then off.
 
     The costate crosses the switching level exactly one time unit before
-    the horizon, which makes the plateau value x0 e^(t1-1).
+    the horizon, which makes the plateau value x0 e^(t1-1). A plateau past
+    the double range raises Overflow: every state, costate and Hamiltonian
+    value of the solution is bounded by it.
     """
     if x0 <= 0:
         raise ValueError("initial state must be positive")
     if t1 < 1.0:
         raise InvalidHorizon("horizon shorter than one unit has no interior switch")
     ts = t1 - 1.0
-    plateau = x0 * float(np.exp(ts))
+    with np.errstate(over="ignore"):
+        plateau = x0 * float(np.exp(ts))
+    if not math.isfinite(plateau):
+        raise Overflow("the plateau state x0 e^(t1-1) overflowed the "
+                       "representable range")
     cost = -plateau  # only the final unit contributes, at weight (0-1)
     pieces = ((0.0, ts, 1.0), (ts, t1, 0.0))
     sol = BangBangSolution(
@@ -163,18 +174,26 @@ def solve_bilinear_bang_bang(x0: float, t1: float) -> BangBangSolution:
 
 
 def bilinear_state(sol: BangBangSolution, x0: float, t: float) -> float:
+    return float(bilinear_states(sol, x0, (t,))[0])
+
+
+def bilinear_states(sol: BangBangSolution, x0: float, times) -> np.ndarray:
+    """x0 e^t at each of times up to the switch, the plateau x0 e^ts after."""
     ts = sol.switching_times[0]
-    if t <= ts:
-        return x0 * float(np.exp(t))
-    return x0 * float(np.exp(ts))
+    t = np.asarray(times, dtype=float)
+    return x0 * np.exp(np.where(t <= ts, t, ts))
 
 
 def bilinear_costate(sol: BangBangSolution, t: float) -> float:
+    return float(bilinear_costates(sol, (t,))[0])
+
+
+def bilinear_costates(sol: BangBangSolution, times) -> np.ndarray:
+    """-e^(t1-1-t) at each of times before the switch, the ramp t - t1 from it."""
     ts = sol.switching_times[0]
     t1 = sol.terminal_time
-    if t >= ts:
-        return t - t1
-    return -float(np.exp(-t + t1 - 1.0))
+    t = np.asarray(times, dtype=float)
+    return np.where(t >= ts, t - t1, -np.exp(-t + t1 - 1.0))
 
 
 def bilinear_piecewise_cost(x0: float, t_grid, u_values) -> float:
@@ -204,7 +223,8 @@ def solve_double_integrator_min_time(x0) -> BangBangSolution:
 
     The deceleration curve x1 = -sign(x2) x2^2 / 2 splits the plane; states
     off the curve ride one extreme input to the curve, then the opposite
-    one home. At most one switch ever occurs.
+    one home. At most one switch ever occurs. A terminal time past the
+    double range raises Overflow.
     """
     x1, x2 = (float(v) for v in np.asarray(x0, dtype=float).reshape(2))
     eps = 1e-12 * (1.0 + abs(x1) + abs(x2))
@@ -232,6 +252,8 @@ def solve_double_integrator_min_time(x0) -> BangBangSolution:
         ts = -x2 + np.sqrt(0.5 * x2 * x2 - x1)
         x2s = np.sqrt(0.5 * x2 * x2 - x1)
         t1 = ts + x2s
+    if not math.isfinite(t1):
+        raise Overflow("the terminal time overflowed the representable range")
     pieces = ((0.0, ts, u1), (ts, t1, u2))
     return BangBangSolution(
         switching_times=(float(ts),), control_pieces=pieces,
@@ -244,41 +266,44 @@ def min_time_state(sol: BangBangSolution, x0, t: float) -> np.ndarray:
 
 
 def min_time_states(sol: BangBangSolution, x0, times) -> np.ndarray:
-    """The state at each of times, one row per time; x0 is read once."""
-    x1, x2 = _x0_floats(x0)
-    return np.array([_min_time_march(sol, x1, x2, t) for t in times])
+    """The state at each of times, one row per time.
 
-
-def _x0_floats(x0):
-    return tuple(float(v) for v in np.asarray(x0, dtype=float).reshape(2))
-
-
-def _min_time_march(sol, pos, vel, t):
-    now = 0.0
-    for (a, b, u) in sol.control_pieces:
-        dt = min(t, b) - now
-        if dt <= 0:
-            break
-        pos += vel * dt + 0.5 * u * dt * dt
-        vel += u * dt
-        now += dt
-        if now >= t:
-            break
-    return [pos, vel]
+    Each time rides the control pieces from x0 up to itself. The masks stop
+    it where a piece-by-piece march would, and the arithmetic is that
+    march's on floats, which overflows to inf without a warning.
+    """
+    t = np.asarray(times, dtype=float)
+    start = np.asarray(x0, dtype=float).reshape(2)
+    pos, vel = np.full(t.shape, start[0]), np.full(t.shape, start[1])
+    now = np.zeros(t.shape)
+    going = np.ones(t.shape, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for (_, b, u) in sol.control_pieces:
+            dt = np.where(b < t, b, t) - now  # min(t, b) - now
+            going &= ~(dt <= 0)
+            pos = np.where(going, pos + (vel * dt + 0.5 * u * dt * dt), pos)
+            vel = np.where(going, vel + u * dt, vel)
+            now = np.where(going, now + dt, now)
+            going &= ~(now >= t)
+    return np.stack((pos, vel), axis=-1)
 
 
 def min_time_costate(sol: BangBangSolution, t: float) -> np.ndarray:
-    """Normalized costate: unit switching coordinate at the terminal time."""
-    t1 = sol.terminal_time
+    return min_time_costates(sol, (t,))[0]
+
+
+def min_time_costates(sol: BangBangSolution, times) -> np.ndarray:
+    """Normalized costate at each of times, one row per time: unit
+    switching coordinate at the terminal time."""
+    t = np.asarray(times, dtype=float)
+    pieces = sol.control_pieces
     if not sol.switching_times:
-        if not sol.control_pieces or sol.control_pieces[-1][2] == 0.0:
-            return np.array([0.0, 0.0])
-        u = sol.control_pieces[-1][2]
-        return np.array([0.0, -u])
+        if not pieces or pieces[-1][2] == 0.0:
+            return np.zeros((t.size, 2))
+        return np.tile([0.0, -pieces[-1][2]], (t.size, 1))
     ts = sol.switching_times[0]
-    u2 = sol.control_pieces[-1][2]
-    slope = -u2 / (t1 - ts)
-    return np.array([-slope, slope * (t - ts)])
+    slope = -pieces[-1][2] / (sol.terminal_time - ts)
+    return np.stack((np.full(t.shape, -slope), slope * (t - ts)), axis=-1)
 
 
 def min_time_terminal_residual(sol: BangBangSolution, x0) -> float:
@@ -330,42 +355,55 @@ def _lq_residuals(sol: TpbvpSolution, prob: TpbvpProblem) -> HamiltonianResidual
     X = sol.trajectory.states
     Lam = sol.costate
     U = sol.control
-    # np.linalg.norm(r) is sqrt(r.r); the products stay one row at a time,
-    # as stacked products round differently
+    # centred differences at the inner samples; each product is one gemv and
+    # each norm one ddot per sample, which keep the bits of M.dot(v) and
+    # r.dot(r), where one gemm over all samples would not (numkit.matvecs)
     dt = (t[2:] - t[:-2])[:, None]
     dX = (X[2:] - X[:-2]) / dt
     dL = (Lam[2:] - Lam[:-2]) / dt
-    sr = cr = st = 0.0
-    for k in range(1, t.size - 1):
-        r = dX[k - 1] - (A.dot(X[k]) + B.dot(U[k]))
-        sr = max(sr, math.sqrt(r.dot(r)))
-        r = dL[k - 1] + prob.Q.dot(X[k]) + A.T.dot(Lam[k])
-        cr = max(cr, math.sqrt(r.dot(r)))
-    for k in range(t.size):
-        r = prob.R.dot(U[k]) + B.T.dot(Lam[k])
-        st = max(st, math.sqrt(r.dot(r)))
-    return HamiltonianResiduals(state_residual=sr, costate_residual=cr,
-                                stationarity_residual=st)
+    Xk, Uk, Lk = X[1:-1], U[1:-1], Lam[1:-1]
+    matvecs = numkit.matvecs
+    return HamiltonianResiduals(
+        state_residual=_largest_norm(dX - (matvecs(A, Xk) + matvecs(B, Uk))),
+        costate_residual=_largest_norm(dL + matvecs(prob.Q, Xk)
+                                       + matvecs(A.T, Lk)),
+        stationarity_residual=_largest_norm(matvecs(prob.R, U)
+                                            + matvecs(B.T, Lam)),
+    )
+
+
+def _largest_norm(rows) -> float:
+    """The largest Euclidean norm of the rows, 0.0 for none, passing over a
+    NaN norm as max(norm, ...) does. Each norm is sqrt(r.r), one ddot per
+    row; (rows * rows).sum(1) would round differently."""
+    squares = np.matmul(rows[:, None, :], rows[:, :, None]).ravel()
+    return float(np.fmax.reduce(np.sqrt(squares), initial=0.0))
+
+
+def _argmin_report(times, h_grid, h_star, switches) -> ArgminReport:
+    """The samples where the solution's Hamiltonian h_star exceeds the least
+    of its row of h_grid by more than 1e-9 relative, and their farthest
+    distance to a switching time."""
+    worse = h_star > h_grid.min(axis=1) + 1e-9 * (1.0 + np.abs(h_star))
+    bad = times[worse].tolist()
+    gap = max((abs(t - s) for t in bad for s in switches), default=0.0)
+    return ArgminReport(violations=tuple(bad), samples=times.size,
+                        max_gap_to_switch=gap)
 
 
 def _bilinear_argmin(sol, prob, u_grid):
     if u_grid is None:
         u_grid = np.linspace(0.0, 1.0, 11)
     times = np.linspace(0.0, prob.t1, 201)
-    cell = times[1] - times[0]
-    bad = []
-    for t in times:
-        x = bilinear_state(sol, prob.x0, t)
-        p = bilinear_costate(sol, t)
-        hvals = [(u - 1.0) * x + p * u * x for u in u_grid]
-        u_star = sol.control_at(t)
-        h_star = (u_star - 1.0) * x + p * u_star * x
-        if h_star > min(hvals) + 1e-9 * (1.0 + abs(h_star)):
-            bad.append(float(t))
-    gap = max((abs(t - sol.switching_times[0]) for t in bad), default=0.0) \
-        if sol.switching_times else 0.0
-    return ArgminReport(violations=tuple(bad), samples=times.size,
-                        max_gap_to_switch=gap)
+    x = bilinear_states(sol, prob.x0, times)[:, None]
+    p = bilinear_costates(sol, times)[:, None]
+
+    def h(u):  # (u - 1) x + p u x, one column per input value
+        return (u - 1.0) * x + p * u * x
+
+    return _argmin_report(times, h(np.asarray(u_grid, dtype=float)),
+                          h(sol.controls_at(times)[:, None])[:, 0],
+                          sol.switching_times[:1])
 
 
 def _min_time_argmin(sol, prob, u_grid):
@@ -373,19 +411,14 @@ def _min_time_argmin(sol, prob, u_grid):
         u_grid = np.linspace(-1.0, 1.0, 21)
     if sol.terminal_time == 0.0:
         return ArgminReport(violations=(), samples=0, max_gap_to_switch=0.0)
-    # Python floats: the same double operations without numpy's dispatch
-    us = np.asarray(u_grid, dtype=float).tolist()
-    times = np.linspace(0.0, sol.terminal_time, 201).tolist()
-    x1, x2 = _x0_floats(prob.x0)
-    bad = []
-    for t in times:
-        x = _min_time_march(sol, x1, x2, t)
-        p = min_time_costate(sol, t).tolist()
-        hvals = [1.0 + p[0] * x[1] + p[1] * u for u in us]
-        u_star = sol.control_at(t)
-        h_star = 1.0 + p[0] * x[1] + p[1] * u_star
-        if h_star > min(hvals) + 1e-9 * (1.0 + abs(h_star)):
-            bad.append(t)
-    gap = max((abs(t - s) for t in bad for s in sol.switching_times), default=0.0)
-    return ArgminReport(violations=tuple(bad), samples=len(times),
-                        max_gap_to_switch=gap)
+    times = np.linspace(0.0, sol.terminal_time, 201)
+    vel = min_time_states(sol, prob.x0, times)[:, 1:]
+    p = min_time_costates(sol, times)
+    base = 1.0 + p[:, :1] * vel
+
+    def h(u):  # 1 + p1 x2 + p2 u, one column per input value
+        return base + p[:, 1:] * u
+
+    return _argmin_report(times, h(np.asarray(u_grid, dtype=float)),
+                          h(sol.controls_at(times)[:, None])[:, 0],
+                          sol.switching_times)

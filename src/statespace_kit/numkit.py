@@ -53,6 +53,15 @@ def as_vector(x, dtype=float) -> np.ndarray:
     return v
 
 
+def matvecs(M, V) -> np.ndarray:
+    """Row k is M[k] @ V[k], or M @ V[k] for one matrix M.
+
+    Each row is one BLAS gemv (a ddot for a one-row M), the call M.dot(v)
+    makes, so the rows keep its bits; one gemm over all rows (V @ M.T) or
+    np.einsum sums in another order and does not."""
+    return np.matmul(M, V[:, :, None])[:, :, 0]
+
+
 # ---------------------------------------------------------------------------
 # LAPACK beyond numpy
 

@@ -328,27 +328,28 @@ def simulate(model, x0, times, u=None, max_step: float = None) -> Trajectory:
     tkeep = times[:kept]
     inputs = np.array([uf(t) for t in tkeep]).reshape(kept, model.m)
     if output is None:
-        rows = _sampled_outputs(model, states, inputs, tkeep)
+        outputs = _sampled_outputs(model, states, inputs, tkeep)
     else:
-        rows = [np.asarray(output(states[i], inputs[i], tkeep[i]), dtype=float)
-                .reshape(model.p) for i in range(kept)]
-    outputs = np.array(rows).reshape(kept, model.p)
+        outputs = np.array([
+            np.asarray(output(states[i], inputs[i], tkeep[i]), dtype=float)
+            .reshape(model.p) for i in range(kept)]).reshape(kept, model.p)
     return Trajectory(times=tkeep, states=states, inputs=inputs, outputs=outputs,
                       truncated=kept < times.size)
 
 
-def _sampled_outputs(model: LtvModel, states, inputs, times) -> list:
+def _sampled_outputs(model: LtvModel, states, inputs, times) -> np.ndarray:
     """Output rows C(t) x + D(t) v of a model whose C and D take arrays of
     times: each stack is interpolated and tested once per block of about
-    1 MB, raising as numkit.as_matrix does, and each row is
-    C.dot(x) + D.dot(v), the bits of the per-time path's C @ x + D @ v."""
+    1 MB, raising as numkit.as_matrix does. numkit.matvecs takes each row
+    with one gemv, the bits of the per-time path's C @ x + D @ v."""
     rows = max(1, (1 << 17) // (model.p * (model.n + model.m) + 1))
-    out = []
+    out = np.empty((len(times), model.p))
     for i in range(0, len(times), rows):
-        ts = times[i:i + rows]
+        block = slice(i, i + rows)
+        ts = times[block]
         Cs, Ds = numkit.as_matrix(model.C(ts)), numkit.as_matrix(model.D(ts))
-        out += [C.dot(x) + D.dot(v) for C, D, x, v
-                in zip(Cs, Ds, states[i:i + rows], inputs[i:i + rows])]
+        out[block] = (numkit.matvecs(Cs, states[block])
+                      + numkit.matvecs(Ds, inputs[block]))
     return out
 
 

@@ -429,6 +429,33 @@ def test_tpbvp_bilinear_command(tmp_path):
     assert abs(results["cost"] - (-0.5 * np.e)) <= 1e-8
 
 
+# optimal runs that leave the double range (command, document, the quantity
+# the message names): the bilinear plateau, the terminal time of a far
+# start, and the state of a start whose terminal time is finite
+OPTIMAL_RUN_OVERFLOWS = [
+    ("tpbvp", {"kind": "bilinear", "x0": 1e300, "t1": 800.0}, "plateau state"),
+    ("mintime", {"x0": [-1e300, 1e200]}, "terminal time"),
+    ("mintime", {"x0": [-5e307, 1.3e154]}, "state along the optimal run"),
+]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command,doc,quantity", OPTIMAL_RUN_OVERFLOWS,
+                         ids=["bilinear-plateau", "mintime-time", "mintime-state"])
+def test_optimal_run_overflow_is_refused_without_a_warning(tmp_path, capsys,
+                                                           command, doc, quantity):
+    from statespace_kit import cli
+
+    inp = write_json(tmp_path / "in.json", doc)
+    out = tmp_path / "out"
+    assert cli.main([command, "--input", inp, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ""
+    error = read_report(out)["error"]
+    assert error["type"] == "Overflow"
+    assert quantity in error["message"]
+    assert os.listdir(out) == ["report.json"]
+
+
 def test_steer_command(tmp_path):
     doc = {
         "model": {"type": "lti", "A": [[0.0, 1.0], [0.0, 0.0]],

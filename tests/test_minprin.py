@@ -218,6 +218,70 @@ def test_bilinear_argmin_clean():
     assert rep.samples == 201
 
 
+def reference_control_at(sol, t):
+    # the boundary rule one time at a time
+    for (a, b, u) in sol.control_pieces:
+        if a <= t <= b:
+            if t == b and b != sol.control_pieces[-1][1]:
+                continue  # the boundary belongs to the next piece
+            return u
+    return sol.control_pieces[-1][2]
+
+
+def test_controls_at_keeps_the_boundary_rule():
+    sols = [solve_double_integrator_min_time(x0)
+            for x0 in ([1.0, 0.0], [-2.0, 0.5], [0.5, -1.0], [0.0, 0.0])]
+    sols += [solve_bilinear_bang_bang(0.5, 2.0), solve_bilinear_bang_bang(1.0, 1.0)]
+    # the single-piece run along the curve and the zero-time run
+    assert [len(sol.control_pieces) for sol in sols] == [2, 2, 1, 1, 2, 2]
+    for sol in sols:
+        t1 = sol.terminal_time
+        probe = [0.0, *sol.switching_times, 0.5 * t1, t1, t1 + 0.5, -0.25]
+        want = [reference_control_at(sol, t) for t in probe]
+        assert sol.controls_at(probe).tolist() == want
+        assert [sol.control_at(t) for t in probe] == want
+
+
+def reference_bilinear_argmin(sol, prob, u_grid):
+    # the grid check one sample at a time, on the closed-form state and costate
+    ts, t1 = sol.switching_times[0], sol.terminal_time
+    times = np.linspace(0.0, prob.t1, 201)
+    bad = []
+    for t in times:
+        x = prob.x0 * float(np.exp(t if t <= ts else ts))
+        p = t - t1 if t >= ts else -float(np.exp(-t + t1 - 1.0))
+        hvals = [(u - 1.0) * x + p * u * x for u in u_grid]
+        u_star = reference_control_at(sol, t)
+        h_star = (u_star - 1.0) * x + p * u_star * x
+        if h_star > min(hvals) + 1e-9 * (1.0 + abs(h_star)):
+            bad.append(float(t))
+    gap = max((abs(t - ts) for t in bad), default=0.0)
+    return ArgminReport(violations=tuple(bad), samples=times.size,
+                        max_gap_to_switch=gap)
+
+
+def test_bilinear_argmin_matches_the_reference_loop_bitwise():
+    gen = rng(13)
+    grids = (np.linspace(0.0, 1.0, 11), [0, 1], gen.uniform(0.0, 1.0, 6))
+    cases = [(0.5, 2.0), (1.0, 1.0)] + list(zip(gen.uniform(0.05, 5.0, 6).tolist(),
+                                                gen.uniform(1.0, 30.0, 6).tolist()))
+    violated = 0
+    for x0, t1 in cases:
+        sol = solve_bilinear_bang_bang(x0, t1)
+        prob = BilinearProblem(x0=x0, t1=t1)
+        ts = sol.switching_times[0]
+        # an input that switches off early or late breaks the argmin property
+        variants = [sol] + [
+            dataclasses.replace(sol, control_pieces=((0.0, s, 1.0), (s, t1, 0.0)))
+            for s in (0.8 * ts, ts + 0.5 * (t1 - ts))]
+        for variant in variants:
+            for u_grid in grids:
+                rep = hamiltonian_residual(variant, prob, u_grid)
+                assert rep == reference_bilinear_argmin(variant, prob, u_grid)
+                violated += len(rep.violations) > 0
+    assert violated >= 2 * len(cases)
+
+
 def test_bilinear_dominates_sampled_controls():
     sol = solve_bilinear_bang_bang(0.5, 2.0)
     gen = rng(401)

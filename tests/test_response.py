@@ -20,6 +20,7 @@ from statespace_kit.errors import (
 )
 from statespace_kit.model import NonlinearModel, ltv_model, state_space
 from statespace_kit.response import (
+    _sampled_outputs,
     fundamental_matrix_ltv,
     peano_baker,
     simulate,
@@ -454,6 +455,24 @@ def test_sampled_ltv_simulate_matches_the_scalar_march_bitwise(n, m, p=2):
     assert not traj.truncated
     for field in ("times", "states", "inputs", "outputs"):
         assert np.array_equal(getattr(traj, field), getattr(ref, field)), field
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("n", [1, 64])
+def test_sampled_outputs_match_the_per_row_loop_bitwise(n, m, p):
+    # one state makes each C.dot(x) a scalar product; at 64 states the
+    # 2 500 rows cross a block of _sampled_outputs at every m and p
+    gen = rng(30 + 4 * p + m + n)
+    model = sampled_ltv(gen, n, m, p, 5)
+    times = np.sort(gen.uniform(0.0, 2.0, 2500))
+    states = gen.standard_normal((times.size, n))
+    inputs = gen.standard_normal((times.size, m))
+    got = _sampled_outputs(model, states, inputs, times)
+    want = np.array([C.dot(x) + D.dot(v) for C, D, x, v
+                     in zip(model.C(times), model.D(times), states, inputs)])
+    assert got.shape == (times.size, p)
+    assert got.tobytes() == want.reshape(times.size, p).tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 64])

@@ -14,8 +14,10 @@ every run's end-to-end metrics with its correct, failed and attempted
 counts; per tree, the median and quartiles of each metric and the summed
 counts; and per metric, the pairs the change won, lost and tied, scored
 with the metric's ``better`` field. The host, the Python, numpy and scipy
-versions and the settings (STATESPACE_KIT_THREADS, run length) are laid
-out as in BENCH_cold_start.json; each entry also names the commit of each
+versions and the settings are laid out as in BENCH_cold_start.json: the
+settings are STATESPACE_KIT_THREADS, the run length, and
+PYTHONDONTWRITEBYTECODE and PYTHONPYCACHEPREFIX as the environment has
+them ("unset" when it has not). Each entry also names the commit of each
 tree when it is a git checkout. A markdown table of the medians and wins
 goes to stdout. Standard library only.
 """
@@ -120,8 +122,12 @@ def main(argv=None):
     report["software"] = {"python": platform.python_version(),
                           "numpy": importlib.metadata.version("numpy"),
                           "scipy": importlib.metadata.version("scipy")}
+    # the bytecode settings the runs inherit, which move setup_s and
+    # peak_rss_mb; the runs themselves are made the same way either way
     report["settings"] = {"STATESPACE_KIT_THREADS": threads,
-                          "run_seconds": seconds}
+                          "run_seconds": seconds,
+                          **{name: os.environ.get(name, "unset") for name in
+                             ("PYTHONDONTWRITEBYTECODE", "PYTHONPYCACHEPREFIX")}}
     report["workloads"][args.workload] = {
         "seed": args.seed, "k": args.k,
         "commits": {side: commit(tree) for side, tree in trees.items()},
