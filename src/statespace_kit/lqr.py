@@ -187,51 +187,11 @@ def solve_rde(prob: LqrProblem, steps: int = None) -> RiccatiSolution:
 # Hamiltonian routes
 
 
-@dataclass(frozen=True)
-class HamiltonianPencil:
-    matrix: np.ndarray
-    spectrum: np.ndarray
-    vectors: np.ndarray  # right eigenvector columns, parallel to spectrum
-
-
-def build_hamiltonian(prob: LqrProblem) -> HamiltonianPencil:
-    if not isinstance(prob.sys, StateSpace):
-        raise TypeError("constant-coefficient model required")
-    H, _, _ = numkit.hamiltonian(prob.sys.A, prob.sys.B, prob.Q, prob.R)
-    eig = numkit.eigen(H)
-    return HamiltonianPencil(matrix=H, spectrum=eig.values,
-                             vectors=eig.right_vectors)
-
-
-def _partition_by_stability(pencil: HamiltonianPencil, tol):
-    n2 = pencil.matrix.shape[0]
-    n = n2 // 2
-    lam = pencil.spectrum
-    if np.any(np.abs(lam.real) <= tol):
-        raise AxisEigenvalue("spectrum touches the imaginary axis")
-    if len(numkit.group_roots(lam, [tol * (1.0 + abs(z)) for z in lam])) < n2:
-        raise RepeatedHamiltonianEigenvalues(
-            "repeated eigenvalue in the coupled flow matrix"
-        )
-    stable = [i for i in range(n2) if lam[i].real < 0]
-    unstable = [i for i in range(n2) if lam[i].real > 0]
-    if len(stable) != n:
-        raise StableSpaceDefect(
-            f"expected {n} strictly stable directions, found {len(stable)}"
-        )
-    V = pencil.vectors
-    U_s = V[:, stable]
-    U_u = V[:, unstable]
-    lam_s = lam[stable]
-    lam_u = lam[unstable]
-    return lam_s, lam_u, U_s, U_u
-
-
 def solve_rde_by_hamiltonian(prob: LqrProblem, samples: int = 201) -> RiccatiSolution:
     """Closed-form finite-horizon solution through the coupled linear flow.
 
-    Valid when the 2n x 2n flow matrix has simple, off-axis eigenvalues;
-    evaluated on a uniform time grid.
+    Valid when the 2n x 2n flow matrix has simple, off-axis eigenvalues, n
+    stable and n unstable; evaluated on a uniform time grid.
     """
     if prob.infinite:
         raise ValueError("finite horizon required")
@@ -239,11 +199,22 @@ def solve_rde_by_hamiltonian(prob: LqrProblem, samples: int = 201) -> RiccatiSol
         raise TypeError("constant-coefficient model required")
     n = prob.sys.n
     M = prob.M if prob.M is not None else np.zeros((n, n))
-    pencil = build_hamiltonian(prob)
-    tol = 1e-9 * (1.0 + float(np.max(np.abs(pencil.spectrum))))
-    lam_s, lam_u, U_s, U_u = _partition_by_stability(pencil, tol)
-    U11, U21 = U_s[:n, :], U_s[n:, :]
-    U12, U22 = U_u[:n, :], U_u[n:, :]
+    H, _, _ = numkit.hamiltonian(prob.sys.A, prob.sys.B, prob.Q, prob.R)
+    lam, V = np.linalg.eig(H)
+    tol = 1e-9 * (1.0 + float(np.max(np.abs(lam))))
+    if np.any(np.abs(lam.real) <= tol):
+        raise AxisEigenvalue("spectrum touches the imaginary axis")
+    if len(numkit.group_roots(lam, [tol * (1.0 + abs(z)) for z in lam])) < 2 * n:
+        raise RepeatedHamiltonianEigenvalues(
+            "repeated eigenvalue in the coupled flow matrix"
+        )
+    stable, unstable = lam.real < 0, lam.real > 0
+    if stable.sum() != n:
+        raise StableSpaceDefect(
+            f"expected {n} strictly stable directions, found {stable.sum()}")
+    lam_s, lam_u = lam[stable], lam[unstable]
+    U11, U21 = V[:n, stable], V[n:, stable]
+    U12, U22 = V[:n, unstable], V[n:, unstable]
     Mc = M.astype(complex)
     G = -np.linalg.solve(U22 - Mc @ U12, U21 - Mc @ U11)
     times = np.linspace(prob.t0, prob.t1, samples)
@@ -493,8 +464,14 @@ def _srl_core(a, numerators, r_values):
         for rk, roots in zip(r.tolist(), found):
             # each root must match the mirror image -z of a root
             band = 1e-8 * (1.0 + np.hypot(roots.real, roots.imag).max(initial=0.0))
-            if None in numkit.match_roots(roots, -roots, band):
-                raise IllConditioned("root locus lost its axis symmetry")
+            mirrors = numkit.match_roots(roots, -roots, band)
+            if None in mirrors:
+                i = mirrors.index(None)
+                gap = np.abs(np.delete(roots, mirrors[:i]) + roots[i]).min()
+                raise IllConditioned(
+                    f"root locus lost its axis symmetry: at r = {rk:.6g} the "
+                    f"root {complex(roots[i]):.6g} is {gap:.3e} from the nearest "
+                    f"unclaimed mirror image -z, beyond band {band:.3e}")
             stable = roots[roots.real < 0]
             stable = stable[np.lexsort((stable.imag, stable.real))].astype(complex)
             out.append(SrlPoint(r=rk, roots=roots, stable_roots=stable))

@@ -77,18 +77,12 @@ class StateSpace:
 
 
 def state_space(A, B=None, C=None, D=None) -> StateSpace:
-    """Convenience constructor filling missing B/C/D with zero blocks."""
-    A = numkit.require_square(A)
-    n = A.shape[0]
-    if B is None:
-        B = np.zeros((n, 0))
-    B = numkit.as_matrix(B) if np.size(B) else np.zeros((n, 0))
-    if C is None:
-        C = np.eye(n)
-    C = numkit.as_matrix(C) if np.size(C) else np.zeros((0, n))
-    if D is None:
-        D = np.zeros((C.shape[0], B.shape[1]))
-    return StateSpace(A, B, C, D)
+    """Convenience constructor: a missing B is no input, a missing C the full
+    state and a missing D no feedthrough. StateSpace fills empty blocks."""
+    n = numkit.require_square(A).shape[0]
+    return StateSpace(A, np.zeros((n, 0)) if B is None else B,
+                      np.eye(n) if C is None else C,
+                      np.zeros((0, 0)) if D is None else D)
 
 
 @dataclass(frozen=True)

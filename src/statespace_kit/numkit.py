@@ -501,6 +501,20 @@ def sample_interpolant(times, samples):
     return at
 
 
+def vectorized(*fs) -> bool:
+    """Whether every callable takes a 1-D array of times and returns the
+    stack of its values: its attribute vectorized, as sample_interpolant's."""
+    return all(getattr(f, "vectorized", False) for f in fs)
+
+
+def stack_at(f, ts) -> np.ndarray:
+    """The stack of the matrices f(t) at a 1-D array of times ts, checked as
+    as_matrix checks one: one call for a vectorized f, else one per time."""
+    if vectorized(f):
+        return as_matrix(f(ts))
+    return np.array([as_matrix(f(t)) for t in ts])
+
+
 # ---------------------------------------------------------------------------
 # quadratic regulators
 

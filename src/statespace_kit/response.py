@@ -157,17 +157,18 @@ def fundamental_matrix_ltv(
     """Fundamental solution of dx/dt = A(t) x on [t0, t1].
 
     Classical fourth-order stepping (numkit.rk4_march) in the steps of
-    _plan, with nodes forced onto the declared discontinuity points, so a
-    march over SUBSTEP_BUDGET steps raises WorkBudgetExceeded before the
-    first one; evaluation between nodes uses cubic Hermite interpolation of
-    the stored solution and its derivative.
+    _plan, by default of _default_max_step, with nodes forced onto the
+    declared discontinuity points, so a march over SUBSTEP_BUDGET steps
+    raises WorkBudgetExceeded before the first one; evaluation between
+    nodes uses cubic Hermite interpolation of the stored solution and its
+    derivative.
     """
     n = model.n
     span = float(t1) - float(t0)
     if span <= 0:
         raise ValueError("need t1 > t0")
     if max_step is None:
-        max_step = span / 800.0
+        max_step = _default_max_step(model.A, t0, t1)
     [pieces] = _plan([t0, t1], max_step, model.piecewise_continuity_breaks)
 
     def A(t):
@@ -244,7 +245,9 @@ def simulate(model, x0, times, u=None, max_step: float = None) -> Trajectory:
     A constant-coefficient model with no or a constant input is exact:
     [x; u] follows the flow of [[A, B], [0, 0]] and max_step is not used.
     With a callable input it uses the exact interval propagator and a
-    Simpson rule for the forced term. Time-varying and nonlinear models use
+    Simpson rule for the forced term, and calls u once per distinct stage
+    time of an interval: a substep starts from the end value of the one
+    before. Time-varying and nonlinear models use
     fixed-step fourth-order integration (numkit.rk4_march),
     ceil((b - a) / max_step) steps on each piece [a, b] between samples and
     breaks; that ceil is taken in floating point and can exceed the ideal
@@ -275,24 +278,14 @@ def simulate(model, x0, times, u=None, max_step: float = None) -> Trajectory:
             return (numkit.as_matrix(model.A(t)),
                     numkit.as_matrix(model.B(t)) @ uf(t))
 
-        if (getattr(model.C, "vectorized", False)
-                and getattr(model.D, "vectorized", False)):
-            output = None  # rows by the block, in _sampled_outputs
-        else:
-            def output(x, v, t):
-                return (numkit.as_matrix(model.C(t)) @ x
-                        + numkit.as_matrix(model.D(t)) @ v)
-
         block = None
-        if (getattr(model.A, "vectorized", False)
-                and getattr(model.B, "vectorized", False) and not callable(u)):
+        if numkit.vectorized(model.A, model.B) and not callable(u):
             held = uf(times[0])
 
             def block(ts):
                 As, Bs = model.A(ts), model.B(ts)
-                if np.isfinite(As).all() and np.isfinite(Bs).all():
-                    return list(zip(As, Bs @ held))
-                return None
+                finite = np.isfinite(As).all() and np.isfinite(Bs).all()
+                return list(zip(As, Bs @ held)) if finite else None
 
         states = march_samples(lambda x, c: c[0].dot(x) + c[1], coeff, x0, times,
                                max_step, model.piecewise_continuity_breaks,
@@ -320,34 +313,33 @@ def simulate(model, x0, times, u=None, max_step: float = None) -> Trajectory:
                     return r
                 return np.asarray(r, dtype=float).reshape(shape)
 
-        output = model.h
         states = march_samples(rate, coeff, x0, times, max_step, ())
     else:
         raise TypeError(f"cannot simulate {type(model).__name__}")
     kept = states.shape[0]
     tkeep = times[:kept]
     inputs = np.array([uf(t) for t in tkeep]).reshape(kept, model.m)
-    if output is None:
+    if isinstance(model, LtvModel):
         outputs = _sampled_outputs(model, states, inputs, tkeep)
     else:
         outputs = np.array([
-            np.asarray(output(states[i], inputs[i], tkeep[i]), dtype=float)
+            np.asarray(model.h(states[i], inputs[i], tkeep[i]), dtype=float)
             .reshape(model.p) for i in range(kept)]).reshape(kept, model.p)
     return Trajectory(times=tkeep, states=states, inputs=inputs, outputs=outputs,
                       truncated=kept < times.size)
 
 
 def _sampled_outputs(model: LtvModel, states, inputs, times) -> np.ndarray:
-    """Output rows C(t) x + D(t) v of a model whose C and D take arrays of
-    times: each stack is interpolated and tested once per block of about
-    1 MB, raising as numkit.as_matrix does. numkit.matvecs takes each row
-    with one gemv, the bits of the per-time path's C @ x + D @ v."""
+    """Output rows C(t) x + D(t) v of a time-varying model: the stacks of C
+    and D (numkit.stack_at) are read and tested once per block of about
+    1 MB of rows, raising as numkit.as_matrix does. numkit.matvecs takes
+    each row with one gemv, the bits of C(t) @ x + D(t) @ v."""
     rows = max(1, (1 << 17) // (model.p * (model.n + model.m) + 1))
     out = np.empty((len(times), model.p))
     for i in range(0, len(times), rows):
         block = slice(i, i + rows)
         ts = times[block]
-        Cs, Ds = numkit.as_matrix(model.C(ts)), numkit.as_matrix(model.D(ts))
+        Cs, Ds = numkit.stack_at(model.C, ts), numkit.stack_at(model.D, ts)
         out[block] = (numkit.matvecs(Cs, states[block])
                       + numkit.matvecs(Ds, inputs[block]))
     return out
@@ -397,8 +389,10 @@ def _simulate_lti(sys: StateSpace, x0, times, u, max_step):
         h = dt / sub
         Eh, Eh2 = props(h)
         t = times[k]
+        f2 = sys.B @ uf(t)
         for _ in range(sub):
-            f0 = sys.B @ uf(t)
+            # a substep starts at the float t + h the previous one ended at
+            f0 = f2
             f1 = sys.B @ uf(t + h / 2.0)
             f2 = sys.B @ uf(t + h)
             x = Eh @ x + (h / 6.0) * (Eh @ f0 + 4.0 * (Eh2 @ f1) + f2)
@@ -461,6 +455,24 @@ def _plan(times, max_step, breaks) -> list:
             f"over the budget of {SUBSTEP_BUDGET}")
     return [[(a, (b - a) / int(steps), int(steps)) for a, b, steps in piece]
             for piece in pieces]
+
+
+def _default_max_step(A, t0, t1) -> float:
+    """The step of a march of dx/dt = A(t) x on [t0, t1] that names none:
+    (t1 - t0) / max(800, ceil(2 (t1 - t0) rho)), rho the largest finite
+    ||A(t)||_1 at 801 evenly spaced times (one call of a vectorized A). So
+    h rho <= 1/2, and every mode of a stiff model stays inside the region
+    where a fourth-order step is stable; _plan then refuses a count over
+    SUBSTEP_BUDGET before the first step."""
+    span = float(t1) - float(t0)
+    ts = np.linspace(float(t0), float(t1), 801)
+    with np.errstate(over="ignore", invalid="ignore"):
+        stack = A(ts) if numkit.vectorized(A) else [
+            np.atleast_2d(np.asarray(A(t), dtype=float)) for t in ts]
+        norms = np.abs(stack).sum(axis=-2).max(axis=-1, initial=0.0)
+    rho = float(norms[np.isfinite(norms)].max(initial=0.0))
+    # the cap keeps the step positive where 2 span rho overflows
+    return span / max(800.0, math.ceil(min(2.0 * span * rho, 1e300)))
 
 
 def _tabled(coeff, block, pieces, n):

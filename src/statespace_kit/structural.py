@@ -204,12 +204,12 @@ def _grammian(model, t0, tf, kind):
 
 def _ltv_grammian(A, G, t0, tf, breaks, kind):
     """(X(tf), GrammianReport of W(tf)) from one march (response.march_samples)
-    of X' = -X F, W' = (X H)(X H)' from [X; W] = [I; 0] at t0, in steps of at
-    most (tf - t0) / 800 split at the breaks. (F, H) = (A, G) for kind
+    of X' = -X F, W' = (X H)(X H)' from [X; W] = [I; 0] at t0, in steps of
+    response._default_max_step split at the breaks. (F, H) = (A, G) for kind
     "controllability" gives X = phi(t0, t); the dual data (-A', G') for
     "observability" give X = phi(t, t0)'. A march that leaves the finite
     range raises SingularFundamental."""
-    from .response import march_samples
+    from .response import _default_max_step, march_samples
 
     t0, tf = float(t0), float(tf)
     if not t0 < tf < np.inf:
@@ -230,17 +230,13 @@ def _ltv_grammian(A, G, t0, tf, breaks, kind):
         return list(zip(Fs, Hs)) if finite else None
 
     z = march_samples(rate, lambda t: (numkit.as_matrix(A(t)), numkit.as_matrix(G(t))),
-                      np.eye(2 * n, n).ravel(), np.array([t0, tf]), (tf - t0) / 800.0,
-                      breaks, block if _vectorized(A, G) else None)
+                      np.eye(2 * n, n).ravel(), np.array([t0, tf]),
+                      _default_max_step(A, t0, tf), breaks,
+                      block if numkit.vectorized(A, G) else None)
     if len(z) < 2:
         raise SingularFundamental("the transition march left the finite range")
     X, W = z[1].reshape(2, n, n)
     return X, _grammian_report(W, kind, (t0, tf))
-
-
-def _vectorized(*fs) -> bool:
-    """Whether every callable takes an array of times (sample_interpolant)."""
-    return all(getattr(f, "vectorized", False) for f in fs)
 
 
 def grammians(model, t0: float, tf: float) -> tuple:
@@ -535,8 +531,8 @@ def _costate_flow(model: LtvModel) -> LtvModel:
         bt = -b.swapaxes(-1, -2)
         return np.block([[np.zeros(b.shape[:-2] + (m, n)), bt], [c, d @ bt]])
 
-    A.vectorized = _vectorized(model.A, model.B)
-    C.vectorized = _vectorized(model.B, model.C, model.D)
+    A.vectorized = numkit.vectorized(model.A, model.B)
+    C.vectorized = numkit.vectorized(model.B, model.C, model.D)
     flow = LtvModel(A, lambda t: np.zeros(np.shape(t) + (2 * n, 0)), C,
                     lambda t: np.zeros(np.shape(t) + (m + p, 0)), 2 * n, 0, m + p,
                     model.piecewise_continuity_breaks)

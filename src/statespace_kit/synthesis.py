@@ -54,11 +54,12 @@ def _siso_place(A, b, desired):
     alpha = np.real(numkit.poly_from_roots(desired))
     # gain in companion coordinates, constant-term difference first
     kbar = (alpha[1:] - a[1:])[::-1].reshape(1, n)
-    from .realization import ccf
     from .structural import controllability_matrix
 
-    canon = ccf(RationalFunction(np.array([1.0]), a))
-    Cbar = controllability_matrix(canon.A, canon.B)
+    # realization.ccf's pair: the negated coefficients in the last row
+    Abar = np.eye(n, k=1)
+    Abar[-1:] = -a[:0:-1]
+    Cbar = controllability_matrix(Abar, np.eye(n)[:, -1:])
     Cmat = controllability_matrix(A, b)
     P = Cbar @ np.linalg.solve(Cmat, np.eye(n))
     return kbar @ P
@@ -111,10 +112,15 @@ def place_poles(sys: StateSpace, desired_poles, verify_tol: float = 1e-6) -> Gai
                 "no direction in the fixed candidate list keeps the pair controllable"
             )
     achieved = numkit.eigen(sys.A - sys.B @ K).values
-    if None in numkit.match_roots(desired, achieved,
-                                  [verify_tol * (1.0 + abs(y)) for y in desired]):
+    bands = [verify_tol * (1.0 + abs(y)) for y in desired]
+    matched = numkit.match_roots(desired, achieved, bands)
+    if None in matched:
+        i = matched.index(None)
+        gap = np.abs(np.delete(achieved, matched[:i]) - desired[i]).min()
         raise IllConditioned(
-            "achieved spectrum deviates from the request beyond tolerance"
+            "achieved spectrum deviates from the request beyond tolerance: "
+            f"requested pole {desired[i]:.6g} is {gap:.3e} from the nearest "
+            f"unclaimed achieved eigenvalue, beyond band {bands[i]:.3e}"
         )
     return GainSet(K=np.real(K), L=None,
                    achieved_state_poles=achieved, achieved_observer_poles=None)

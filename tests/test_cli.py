@@ -4,6 +4,7 @@ report layout, output files, and byte-level determinism."""
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -454,6 +455,53 @@ def test_optimal_run_overflow_is_refused_without_a_warning(tmp_path, capsys,
     assert error["type"] == "Overflow"
     assert quantity in error["message"]
     assert os.listdir(out) == ["report.json"]
+
+
+DIGEST_DOCS = os.path.join(os.path.dirname(__file__), os.pardir, "tools",
+                           "digest_docs")
+
+
+def refusal(tmp_path, command, name):
+    """The document tools/digest_docs/<name>.json, its exit-1 report error."""
+    from statespace_kit import cli
+
+    inp = os.path.join(DIGEST_DOCS, name + ".json")
+    out = tmp_path / "out"
+    assert cli.main([command, "--input", inp, "--out", str(out)]) == 1
+    with open(inp) as fh:
+        return json.load(fh), read_report(out)["error"]
+
+
+def test_placement_refusal_names_the_unmatched_pole_its_gap_and_band(tmp_path):
+    doc, error = refusal(tmp_path, "place", "lti-place-n10-fault")
+    assert error["type"] == "IllConditioned"
+    found = re.fullmatch(
+        r"achieved spectrum deviates from the request beyond tolerance: "
+        r"requested pole (\S+) is (\S+) from the nearest unclaimed achieved "
+        r"eigenvalue, beyond band (\S+)", error["message"])
+    pole, gap, band = complex(found[1]), float(found[2]), float(found[3])
+    assert pole in doc["poles"]
+    # the band of the place command's verify_tol, 1e-6 (1 + |pole|), to 4 digits
+    assert band == pytest.approx(1e-6 * (1.0 + abs(pole)), rel=1e-3)
+    assert gap > band
+
+
+def test_root_locus_refusal_names_the_weight_root_gap_and_band(tmp_path):
+    doc, error = refusal(tmp_path, "srl", "lti-srl-n16-fault")
+    assert error["type"] == "IllConditioned"
+    found = re.fullmatch(
+        r"root locus lost its axis symmetry: at r = (\S+) the root (\S+) is "
+        r"(\S+) from the nearest unclaimed mirror image -z, beyond band (\S+)",
+        error["message"])
+    r, root = float(found[1]), complex(found[2])
+    gap, band = float(found[3]), float(found[4])
+    spec = doc["r_range"]
+    weights = np.logspace(np.log10(spec["min"]), np.log10(spec["max"]),
+                          spec["count"])
+    assert np.min(np.abs(weights - r)) <= 1e-5 * r  # printed to 6 digits
+    # the band is 1e-8 (1 + the largest root modulus), at least the root's own
+    assert band >= 1e-8 * (1.0 + abs(root)) * (1.0 - 1e-3)
+    assert gap > band
 
 
 def test_steer_command(tmp_path):

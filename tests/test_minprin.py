@@ -19,6 +19,7 @@ from statespace_kit.minprin import (
     bilinear_state,
     hamiltonian_residual,
     min_time_costate,
+    min_time_costates,
     min_time_state,
     min_time_states,
     min_time_terminal_residual,
@@ -360,21 +361,45 @@ def test_min_time_argmin_clean():
     assert rep.violations == ()
 
 
+def reference_min_time_costate(sol, t):
+    # the closed form at one time: without a switch p = (0, -u), u the last
+    # control; with one at ts, p1 is constant and p2 linear in t, zero at ts
+    # and -u at the terminal time
+    u = sol.control_pieces[-1][2] if sol.control_pieces else 0.0
+    if not sol.switching_times:
+        return np.array([0.0, -u if u else 0.0])
+    ts = sol.switching_times[0]
+    slope = -u / (sol.terminal_time - ts)
+    return np.array([-slope, slope * (t - ts)])
+
+
 def reference_min_time_argmin(sol, x0, u_grid):
-    # the grid check on numpy scalars, one sample at a time
+    # the grid check on numpy scalars, one sample at a time, on the test's
+    # own state, costate and control
     times = np.linspace(0.0, sol.terminal_time, 201)
     bad = []
     for t in times:
-        x = min_time_state(sol, x0, t)
-        p = min_time_costate(sol, t)
+        x = reference_min_time_state(sol, x0, t)
+        p = reference_min_time_costate(sol, t)
         hvals = [1.0 + p[0] * x[1] + p[1] * u for u in u_grid]
-        u_star = sol.control_at(t)
+        u_star = reference_control_at(sol, t)
         h_star = 1.0 + p[0] * x[1] + p[1] * u_star
         if h_star > min(hvals) + 1e-9 * (1.0 + abs(h_star)):
             bad.append(float(t))
     gap = max((abs(t - s) for t in bad for s in sol.switching_times), default=0.0)
     return ArgminReport(violations=tuple(bad), samples=times.size,
                         max_gap_to_switch=gap)
+
+
+def test_min_time_costates_match_the_closed_form_bitwise():
+    gen = rng(13)
+    starts = ([[1.0, 0.0], [-0.5, 1.0], [0.5, -1.0], [0.0, 0.0]]
+              + gen.uniform(-3, 3, (4, 2)).tolist())
+    for x0 in starts:
+        sol = solve_double_integrator_min_time(x0)
+        ts = np.linspace(0.0, sol.terminal_time, 51)
+        want = np.array([reference_min_time_costate(sol, t) for t in ts])
+        assert min_time_costates(sol, ts).tobytes() == want.tobytes()
 
 
 def test_min_time_argmin_matches_the_reference_loop_bitwise():

@@ -378,6 +378,36 @@ def test_sample_interpolant_matches_searchsorted_formula_bitwise():
         assert np.array_equal(value, reference_interp(ts, stack, t)), t
 
 
+def test_stack_at_calls_a_vectorized_function_once_and_others_per_time():
+    at = numkit.sample_interpolant([0.0, 1.0, 3.0],
+                                   rng(4).normal(size=(3, 2, 2)))
+    seen = []
+
+    def one_time(t):
+        seen.append(t)
+        return at(t)
+
+    def spy(ts):
+        seen.append(ts)
+        return at(ts)
+
+    spy.vectorized = True
+    assert numkit.vectorized(at, spy) and not numkit.vectorized(at, one_time)
+    ts = np.linspace(-0.5, 3.5, 9)
+    want = numkit.stack_at(one_time, ts)
+    assert len(seen) == ts.size
+    assert numkit.stack_at(spy, ts).tobytes() == want.tobytes()
+    assert len(seen) == ts.size + 1 and seen[-1] is ts
+    # a non-finite entry raises as as_matrix does, on either path
+    def bad(ts):
+        return np.full((ts.size, 1, 1), np.inf)
+
+    bad.vectorized = True
+    for f in (bad, lambda t: [[np.inf]]):
+        with pytest.raises(ValueError, match="finite"):
+            numkit.stack_at(f, ts)
+
+
 # ---------------------------------------------------------------------------
 # bases
 

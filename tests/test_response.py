@@ -549,6 +549,23 @@ def test_simulate_nonlinear_evaluates_callable_input_once_per_stage_time():
     np.testing.assert_allclose(traj.inputs[:, 0], np.sin(times))
 
 
+def test_simulate_lti_evaluates_callable_input_once_per_stage_time():
+    # a substep starts at the float t + h the one before it ended at
+    a, w, x0 = -1.0, 3.0, 0.4
+    sys = siso_system([[a]], [1.0], [1.0])
+    u = counted(lambda t: np.array([np.sin(w * t)]))
+    times = np.linspace(0.0, 2.0, 21)
+    traj = simulate(sys, [x0], times, u=u, max_step=0.01)
+    substeps = rk4_steps(times, 0.01)
+    # midpoint and end per substep, the start of each interval, then the
+    # recorded inputs
+    assert u.calls == 2 * substeps + (times.size - 1) + times.size
+    amp = a ** 2 + w ** 2
+    exact = ((-a * np.sin(w * times) - w * np.cos(w * times)) / amp
+             + (x0 + w / amp) * np.exp(a * times))
+    np.testing.assert_allclose(traj.states[:, 0], exact, rtol=0, atol=1e-9)
+
+
 def test_fundamental_matrix_evaluates_coefficients_once_per_stage_time():
     A_of_t, phi_exact = commutator_fixture()
     A = counted(A_of_t)

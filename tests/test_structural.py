@@ -22,6 +22,7 @@ from statespace_kit.errors import (
     SingularGrammian,
     Uncontrollable,
     Unobservable,
+    WorkBudgetExceeded,
 )
 from statespace_kit.model import StateSpace, ltv_model, state_space
 from statespace_kit.realization import ccf, minimality, rational, ss_to_tf
@@ -323,6 +324,36 @@ def test_ltv_grammians_closed_form(T):
                                W, rtol=0, atol=tol)
     np.testing.assert_allclose(observability_grammian(model, 0.0, T).matrix,
                                H, rtol=0, atol=tol)
+
+
+def _stiff(lam):
+    A, B, C = np.diag([lam, -1.0]), np.array([[1.0], [0.0]]), np.array([[1.0, 1.0]])
+    calls = []
+
+    def A_of_t(t):
+        calls.append(t)
+        return A
+
+    return (ltv_model(A_of_t, B=lambda t: B, C=lambda t: C, n=2, m=1, p=1), calls,
+            state_space(A, B, C))
+
+
+def test_stiff_ltv_grammian_agrees_with_the_constant_route():
+    # h |lambda| = 2.9 at 800 steps is past a fourth-order step's stability
+    # bound; the march takes ceil(2 * 2320) = 4640 steps and stays stable
+    model, _, lti = _stiff(-2320.0)
+    got = observability_grammian(model, 0.0, 1.0).matrix
+    want = observability_grammian(lti, 0.0, 1.0).matrix
+    assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want)
+
+
+def test_far_stiffer_ltv_grammian_is_refused_before_the_first_step():
+    # 2e8 steps: A(t) is read for the state dimension at t0 and at the 801
+    # samples of the step plan, and never by the march
+    model, calls, _ = _stiff(-1e8)
+    with pytest.raises(WorkBudgetExceeded, match="2e\\+08 steps"):
+        observability_grammian(model, 0.0, 1.0)
+    assert calls == [0.0] + np.linspace(0.0, 1.0, 801).tolist()
 
 
 def test_grammian_range_equals_reachable_subspace():

@@ -13,12 +13,15 @@ a workload run again replaces its entry, the others stay. An entry holds
 every run's end-to-end metrics with its correct, failed and attempted
 counts; per tree, the median and quartiles of each metric and the summed
 counts; and per metric, the pairs the change won, lost and tied, scored
-with the metric's ``better`` field. The host, the Python, numpy and scipy
-versions and the settings are laid out as in BENCH_cold_start.json: the
-settings are STATESPACE_KIT_THREADS, the run length, and
-PYTHONDONTWRITEBYTECODE and PYTHONPYCACHEPREFIX as the environment has
-them ("unset" when it has not). Each entry also names the commit of each
-tree when it is a git checkout. A markdown table of the medians and wins
+with the metric's ``better`` field. As in tools/cold_start.py, the runs go
+without PYTHONDONTWRITEBYTECODE and with PYTHONPYCACHEPREFIX in a
+temporary directory, into which ``compileall`` writes the bytecode of both
+trees' ``src`` and ``perfbench`` before the first pair: every run then
+loads bytecode, as from an installed package, and none compiles. The host,
+the Python, numpy and scipy versions and the settings are laid out as in
+BENCH_cold_start.json: the settings are STATESPACE_KIT_THREADS, the run
+length and those two bytecode settings. Each entry also names the commit
+of each tree when it is a git checkout. A markdown table of the medians and wins
 goes to stdout. Standard library only.
 """
 
@@ -30,6 +33,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 SIDES = ("parent", "change")
@@ -102,15 +106,26 @@ def main(argv=None):
     trees = {"parent": os.path.abspath(args.parent),
              "change": os.path.abspath(args.change)}
     threads = os.environ.get("STATESPACE_KIT_THREADS", "1")
-    env = dict(os.environ, STATESPACE_KIT_THREADS=threads)
     runs = []
-    for pair in range(args.k):
-        order = SIDES if pair % 2 == 0 else SIDES[::-1]
-        for position, side in enumerate(order):
-            result = run_once(trees[side], args.workload, args.seed, seconds, env)
-            runs.append(dict(result, pair=pair, tree=side, position=position))
-            print(f"pair {pair} {side}: docs_per_s "
-                  f"{result['metrics']['docs_per_s']:.1f}", file=sys.stderr)
+    with tempfile.TemporaryDirectory() as tmp:
+        env = {k: v for k, v in os.environ.items()
+               if k != "PYTHONDONTWRITEBYTECODE"}
+        env.update(STATESPACE_KIT_THREADS=threads,
+                   PYTHONPYCACHEPREFIX=os.path.join(tmp, "pycache"))
+        for tree in trees.values():
+            subprocess.run([sys.executable, "-m", "compileall", "-q",
+                            os.path.join(tree, "src"),
+                            os.path.join(tree, "perfbench")],
+                           env=env, check=True, capture_output=True)
+        for pair in range(args.k):
+            order = SIDES if pair % 2 == 0 else SIDES[::-1]
+            for position, side in enumerate(order):
+                result = run_once(trees[side], args.workload, args.seed,
+                                  seconds, env)
+                runs.append(dict(result, pair=pair, tree=side,
+                                 position=position))
+                print(f"pair {pair} {side}: docs_per_s "
+                      f"{result['metrics']['docs_per_s']:.1f}", file=sys.stderr)
     per_side, wins = summarize(runs, better)
     path = f"BENCH_{args.label}.json"
     report = {"workloads": {}}
@@ -122,12 +137,11 @@ def main(argv=None):
     report["software"] = {"python": platform.python_version(),
                           "numpy": importlib.metadata.version("numpy"),
                           "scipy": importlib.metadata.version("scipy")}
-    # the bytecode settings the runs inherit, which move setup_s and
-    # peak_rss_mb; the runs themselves are made the same way either way
+    # the bytecode settings of the runs, which move setup_s and peak_rss_mb
     report["settings"] = {"STATESPACE_KIT_THREADS": threads,
                           "run_seconds": seconds,
-                          **{name: os.environ.get(name, "unset") for name in
-                             ("PYTHONDONTWRITEBYTECODE", "PYTHONPYCACHEPREFIX")}}
+                          "PYTHONDONTWRITEBYTECODE": "unset",
+                          "PYTHONPYCACHEPREFIX": "<temporary directory>/pycache"}
     report["workloads"][args.workload] = {
         "seed": args.seed, "k": args.k,
         "commits": {side: commit(tree) for side, tree in trees.items()},

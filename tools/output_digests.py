@@ -1,4 +1,4 @@
-"""Print one digest line per input document: ``name exit-code sha256``.
+"""Print one digest line per input document: ``name exit-code sha256 stderr``.
 
     PYTHONPATH=<tree>/src python3 tools/output_digests.py DOCS_DIR OUT_DIR
     PYTHONPATH=<tree>/src python3 tools/output_digests.py \
@@ -13,7 +13,10 @@ DOCS_DIR runs through ``statespace_kit.cli.main`` into
 OUT_DIR/<name>, which is emptied first. The command is the first
 dash-separated part of the file name that names one (``007-simulate-n2``
 runs ``simulate``). The digest covers the name and bytes of every output
-file. ``report.json`` records the input and output paths, so two trees give
+file. The last field is the sha256 of what the command wrote to stderr, or
+``-`` when it wrote nothing; each document runs under its own
+``warnings.catch_warnings()`` with the default filter, so a warning shows
+every time, as it would in a fresh process. ``report.json`` records the input and output paths, so two trees give
 comparable lines only with the same DOCS_DIR and OUT_DIR; run it once per
 tree and diff the two listings.
 
@@ -32,6 +35,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                          "perfbench")
@@ -46,14 +50,18 @@ def digest(outdir):
 
 
 def run(cli, argv):
-    sink = io.StringIO()
-    try:
-        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-            return cli.main(argv)
-    except SystemExit as exc:
-        return exc.code
-    except Exception as exc:  # a traceback exit of the command-line tool
-        return "exception:" + type(exc).__name__
+    """(exit code, stderr text) of one command."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("default")  # a new filter list: nothing seen yet
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        except Exception as exc:  # a traceback exit of the command-line tool
+            rc = "exception:" + type(exc).__name__
+    return rc, err.getvalue()
 
 
 def write_documents(workload, seed, docs_dir):
@@ -80,8 +88,10 @@ def listing(docs_dir, out_dir):
             continue
         out = os.path.join(out_dir, name)
         shutil.rmtree(out, ignore_errors=True)
-        rc = run(cli, [command, "--input", os.path.join(docs_dir, fname), "--out", out])
-        yield f"{name} {rc} {digest(out)}"
+        rc, err = run(cli, [command, "--input", os.path.join(docs_dir, fname),
+                            "--out", out])
+        err = hashlib.sha256(err.encode()).hexdigest() if err else "-"
+        yield f"{name} {rc} {digest(out)} {err}"
 
 
 def against(other_tree, docs_dir, out_dir):
